@@ -26,7 +26,6 @@ from .classicalize import (
     MeasurementOutcome,
     classicalize,
     delta,
-    direction_grid,
     ensemble_values,
     global_value,
     grid_tolerance,
@@ -82,7 +81,6 @@ __all__ = [
     "classicalize",
     "condition1_check",
     "delta",
-    "direction_grid",
     "ensemble_values",
     "fixed_point_check",
     "global_value",

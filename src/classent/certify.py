@@ -27,12 +27,13 @@ from .classicalize import (
     DEFAULT_GRID,
     ZERO_PROB,
     MeasurementDirection,
+    _contract,
     _direction_at,
+    _pt_spectrum,
     c_blocks,
     direction_kets,
 )
 from .matcore import (
-    DensityMatrix,
     as_density,
     matrix_to_jsonable,
     numeric_rank,
@@ -96,12 +97,10 @@ def condition1_check(state, grid=DEFAULT_GRID, tol: float = 1e-10) -> Condition1
             f"PPT not decisive for dims {rho.dims}; the scan needs qubit A and B"
         )
     kets = direction_kets(rho.dims[2], grid)
-    blocks = c_blocks(rho)
-    k0 = np.einsum("nc,cdab,nd->nab", kets.conj(), blocks, kets, optimize=True)
+    k0 = _contract(c_blocks(rho), kets.conj(), kets)
     probs = np.trace(k0, axis1=1, axis2=2).real
     mask = probs > ZERO_PROB
-    kt = k0.reshape(-1, 2, 2, 2, 2).transpose(0, 3, 2, 1, 4).reshape(-1, 4, 4)
-    min_eigs = np.linalg.eigvalsh(kt)[:, 0]
+    min_eigs = _pt_spectrum(k0, (2, 2))[:, 0]
     witnesses = np.where(mask, min_eigs / np.where(mask, probs, 1.0), np.inf)
     skipped = int((~mask).sum())
     checked = int(mask.sum())
@@ -134,10 +133,6 @@ class DiscordReport:
         return out
 
 
-def _blocks_in_basis(blocks: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    return np.einsum("ci,cdab,dj->ijab", basis.conj(), blocks, basis, optimize=True)
-
-
 def zero_discord_check(state, grid=DEFAULT_GRID) -> DiscordReport:
     """Decide whether rho = sum_i p_i sigma_i (x) |b_i><b_i| for some basis.
 
@@ -155,9 +150,9 @@ def zero_discord_check(state, grid=DEFAULT_GRID) -> DiscordReport:
     blocks = c_blocks(rho)
     rho_c = partial_trace(rho, (2,)).data
     w, basis = np.linalg.eigh(rho_c)
-    in_eigenbasis = _blocks_in_basis(blocks, basis)
-    off = in_eigenbasis.copy()
-    off[np.arange(dc), np.arange(dc)] = 0.0
+    # every off-diagonal block <b_i|rho|b_j>, i != j, of the eigenbasis
+    i, j = np.nonzero(~np.eye(dc, dtype=bool))
+    off = _contract(blocks, basis.conj().T[i], basis.T[j])
     if float(np.max(np.abs(off))) <= BLOCK_TOL:
         return DiscordReport("yes", basis)
     purity = float(np.trace(rho.data @ rho.data).real)
@@ -171,7 +166,7 @@ def zero_discord_check(state, grid=DEFAULT_GRID) -> DiscordReport:
         return DiscordReport("undecided", None)
     kets = direction_kets(2, grid)
     perps = np.stack([-kets[:, 1].conj(), kets[:, 0].conj()], axis=-1)
-    cross = np.einsum("nc,cdab,nd->nab", kets.conj(), blocks, perps, optimize=True)
+    cross = _contract(blocks, kets.conj(), perps)
     flat = np.abs(cross).reshape(cross.shape[0], -1).max(axis=1)
     hits = np.nonzero(flat <= BLOCK_TOL)[0]
     if hits.size:
@@ -196,11 +191,12 @@ def fixed_point_check(state, basis: np.ndarray | None = None) -> float:
     if basis is None:
         basis = np.eye(dc, dtype=complex)
     basis = np.asarray(basis, dtype=complex)
+    if basis.shape != (dc, dc):
+        raise ValueError(f"basis must be a {dc}x{dc} unitary; got shape {basis.shape}")
     unitary_dev = float(np.max(np.abs(basis.conj().T @ basis - np.eye(dc))))
-    if basis.shape != (dc, dc) or unitary_dev > 1e-10:
+    if unitary_dev > 1e-10:
         raise ValueError(f"basis must be a {dc}x{dc} unitary; deviation {unitary_dev:.3e}")
-    blocks = c_blocks(rho)
-    diag = np.einsum("ck,cdab,dk->kab", basis.conj(), blocks, basis, optimize=True)
+    diag = _contract(c_blocks(rho), basis.conj().T, basis.T)
     dephased = np.einsum("kxy,ck,dk->xcyd", diag, basis, basis.conj(), optimize=True)
     side = rho.side
     return float(np.max(np.abs(dephased.reshape(side, side) - rho.data)))

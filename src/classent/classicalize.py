@@ -20,8 +20,10 @@ to dichotomic projective measurements and perfect encodings loses no
 generality for measures that are convex, monotonic under local
 operations and flag-condition additive.
 
-Everything on the grid is evaluated with stacked numpy eigensolves, so
-the default 301 x 51 grid stays fast even at total dimension 256.
+The grid is evaluated in one stacked pass that holds every direction's
+dAB x dAB block at once, peaking at 32 dAB^2 bytes per direction: about
+0.5 GB at the default 301 x 51 grid for dAB = 32 (``bells:3``), but
+7.5 GiB for dAB = 128 (``bells:4``).
 """
 
 from __future__ import annotations
@@ -96,12 +98,14 @@ class MeasurementOutcome:
 
 @dataclass(frozen=True)
 class DeltaResult:
-    """Grid optimum of the entanglement change for one state and measure."""
+    """Grid optimum of the entanglement change and its bound sandwich."""
 
     measure: MeasureKind
     delta: float
     global_value: float
     ensemble_value: float
+    lower_bound: float
+    upper_bound: float
     best_direction: MeasurementDirection
     ensemble: tuple[MeasurementOutcome, ...]
     grid: tuple[int, int]
@@ -112,6 +116,8 @@ class DeltaResult:
             "delta": self.delta,
             "global_value": self.global_value,
             "ensemble_value": self.ensemble_value,
+            "lower_bound": self.lower_bound,
+            "upper_bound": self.upper_bound,
             "best_direction": self.best_direction.angle_dict(),
             "grid": list(self.grid),
         }
@@ -144,22 +150,6 @@ def direction_kets(dim_c: int, grid=DEFAULT_GRID) -> np.ndarray:
     else:
         raise ValueError(f"measurement grids cover C of dimension 2 or 3, got {dim_c}")
     return kets.reshape(-1, dim_c)
-
-
-def direction_grid(dim_c: int, grid=DEFAULT_GRID) -> list[MeasurementDirection]:
-    """All grid directions in flat index order."""
-    nx, nt = _check_grid(grid)
-    if dim_c not in (2, 3):
-        raise ValueError(f"measurement grids cover C of dimension 2 or 3, got {dim_c}")
-    out = []
-    for k in range(nx + 1):
-        for j in range(nt + 1):
-            out.append(
-                MeasurementDirection(
-                    (np.pi * k / nx, np.pi * j / nt), (k, j), dim_c
-                )
-            )
-    return out
 
 
 def _direction_at(dim_c: int, grid, flat: int) -> MeasurementDirection:
@@ -209,61 +199,71 @@ def classicalize(state, direction: MeasurementDirection) -> list[MeasurementOutc
 
 
 # ---------------------------------------------------------------------------
-# Stacked kernels over all grid directions at once
+# The grid kernel: every direction at once, one eigensolve per outcome
 # ---------------------------------------------------------------------------
 
 
-def _stacked_outcome_blocks(rho: DensityMatrix, kets: np.ndarray):
-    """Unnormalized first-outcome blocks <v|rho|v> for every grid ket,
-    together with the complement blocks; each has shape (N, dAB, dAB)."""
-    blocks = c_blocks(rho)
-    k0 = np.einsum("nc,cdab,nd->nab", kets.conj(), blocks, kets, optimize=True)
-    rho_ab = np.einsum("ccab->ab", blocks)
-    return k0, rho_ab[None, :, :] - k0
+def _contract(blocks: np.ndarray, bras: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """Stacked <l_n|_C rho |r_n>_C, (N, dAB, dAB), from rows l_n^* and r_n."""
+    return np.einsum("nc,cdab,nd->nab", bras, blocks, kets, optimize=True)
 
 
-def _stacked_pt_negsum(k: np.ndarray, dims_ab) -> np.ndarray:
-    """Negative partial-transpose weight of each stacked block."""
+def _pt_spectrum(k: np.ndarray, dims_ab) -> np.ndarray:
+    """Ascending partial-transpose spectrum of each stacked block, (N, dAB)."""
     da, db = dims_ab
     n = k.shape[0]
     kt = k.reshape(n, da, db, da, db).transpose(0, 3, 2, 1, 4).reshape(n, da * db, da * db)
-    w = np.linalg.eigvalsh(kt)
-    return -np.where(w < -NEG_EIG_THRESHOLD, w, 0.0).sum(axis=1)
+    return np.linalg.eigvalsh(kt)
 
 
-def _stacked_marginal_entropy(k: np.ndarray, probs: np.ndarray, dims_ab) -> np.ndarray:
-    """(S(A) + S(B)) / 2 of each normalized block; zero where negligible."""
+def _weighted_values(k: np.ndarray, measure: MeasureKind, dims_ab, probs=None) -> np.ndarray:
+    """p * post_value(sigma) of each stacked block k = p sigma."""
+    if measure is MeasureKind.NEGATIVITY:
+        # Negativity scales linearly, so the weight p never needs to be
+        # divided out: p * 2 N(sigma) = 2 N(<v|rho|v>).
+        w = _pt_spectrum(k, dims_ab)
+        return 2.0 * -np.where(w < -NEG_EIG_THRESHOLD, w, 0.0).sum(axis=1)
+    # p (S(A) + S(B)) / 2 of the normalized marginals; zero where negligible
     da, db = dims_ab
     n = k.shape[0]
     t = k.reshape(n, da, db, da, db)
+    if probs is None:
+        probs = np.trace(k, axis1=1, axis2=2).real
     safe = np.where(probs > ZERO_PROB, probs, 1.0)
     out = np.zeros(n)
     for marg in (np.einsum("nabcb->nac", t), np.einsum("nabad->nbd", t)):
         w = np.linalg.eigvalsh(marg) / safe[:, None]
         logs = np.log2(w, out=np.zeros_like(w), where=w > EIG_CUTOFF)
         out += -(np.where(w > EIG_CUTOFF, w, 0.0) * logs).sum(axis=1)
-    return np.where(probs > ZERO_PROB, out / 2.0, 0.0)
+    return probs * np.where(probs > ZERO_PROB, out / 2.0, 0.0)
 
 
-def _stacked_weighted_post(k: np.ndarray, measure: MeasureKind, dims_ab) -> np.ndarray:
-    """p * post_value(sigma) for each stacked unnormalized block."""
-    if measure is MeasureKind.NEGATIVITY:
-        # Negativity scales linearly, so the weight p never needs to be
-        # divided out: p * 2 N(sigma) = 2 N(<v|rho|v>).
-        return 2.0 * _stacked_pt_negsum(k, dims_ab)
-    probs = np.trace(k, axis1=1, axis2=2).real
-    return probs * _stacked_marginal_entropy(k, probs, dims_ab)
+def _grid_outcomes(rho: DensityMatrix, measure: MeasureKind, grid, probs=True, complement=True):
+    """One pass over the grid directions |v_n> on C, in flat grid order.
+
+    Returns the first-outcome probabilities p_n, the weighted first-outcome
+    values p_n E[sigma_n (x) |0><0|] and the ensemble values, which add the
+    complement outcome.  Without ``probs`` or ``complement`` the
+    probabilities or the ensemble values are skipped and returned as None.
+    """
+    dims_ab = rho.dims[:2]
+    blocks = c_blocks(rho)
+    kets = direction_kets(rho.dims[2], grid)
+    k = _contract(blocks, kets.conj(), kets)
+    p = np.trace(k, axis1=1, axis2=2).real if probs else None
+    first = _weighted_values(k, measure, dims_ab, p)
+    if not complement:
+        return p, first, None
+    # The complement block rho_AB - <v|rho|v> overwrites the first one,
+    # so the pass never holds a second (N, dAB, dAB) stack.
+    np.subtract(np.einsum("ccab->ab", blocks), k, out=k)
+    return p, first, first + _weighted_values(k, measure, dims_ab)
 
 
-def _stacked_single_post(k: np.ndarray, measure: MeasureKind, dims_ab) -> np.ndarray:
-    """post_value of each normalized block; -inf where negligible."""
-    probs = np.trace(k, axis1=1, axis2=2).real
+def _best_first_value(probs: np.ndarray, first: np.ndarray) -> float:
+    """Largest E[sigma_n (x) |0><0|] over non-negligible first outcomes."""
     mask = probs > ZERO_PROB
-    if measure is MeasureKind.NEGATIVITY:
-        vals = 2.0 * _stacked_pt_negsum(k, dims_ab) / np.where(mask, probs, 1.0)
-    else:
-        vals = _stacked_marginal_entropy(k, probs, dims_ab)
-    return np.where(mask, vals, -np.inf)
+    return float(np.where(mask, first / np.where(mask, probs, 1.0), -np.inf).max())
 
 
 def global_value(state, measure) -> float:
@@ -283,13 +283,7 @@ def ensemble_values(state, measure=MeasureKind.NEGATIVITY, grid=DEFAULT_GRID) ->
     """
     measure = as_measure(measure)
     rho = _check_tripartite(as_density(state))
-    grid = _check_grid(grid)
-    dims_ab = rho.dims[:2]
-    kets = direction_kets(rho.dims[2], grid)
-    k0, k1 = _stacked_outcome_blocks(rho, kets)
-    return _stacked_weighted_post(k0, measure, dims_ab) + _stacked_weighted_post(
-        k1, measure, dims_ab
-    )
+    return _grid_outcomes(rho, measure, _check_grid(grid), probs=False)[2]
 
 
 def delta(state, measure=MeasureKind.NEGATIVITY, grid=DEFAULT_GRID) -> DeltaResult:
@@ -308,25 +302,27 @@ def delta(state, measure=MeasureKind.NEGATIVITY, grid=DEFAULT_GRID) -> DeltaResu
     Returns
     -------
     DeltaResult
-        delta together with the winning direction and its outcome
-        ensemble.  On plateaus the lowest flat grid index wins.
+        delta together with the winning direction, its outcome ensemble
+        and both bounds, all from one grid pass.  On plateaus the lowest
+        flat grid index wins.
     """
     measure = as_measure(measure)
     rho = _check_tripartite(as_density(state))
     grid = _check_grid(grid)
     gval = global_value(rho, measure)
-    values = ensemble_values(rho, measure, grid)
+    probs, first, values = _grid_outcomes(rho, measure, grid)
     best = int(np.argmax(values >= values.max() - TIE_TOL))
     best_dir = _direction_at(rho.dims[2], grid, best)
-    ensemble = tuple(classicalize(rho, best_dir))
     ensemble_value = float(values[best])
     return DeltaResult(
         measure=measure,
         delta=gval - ensemble_value,
         global_value=gval,
         ensemble_value=ensemble_value,
+        lower_bound=gval - _best_first_value(probs, first),
+        upper_bound=gval - post_value(measure, partial_trace(rho, (0, 1))),
         best_direction=best_dir,
-        ensemble=ensemble,
+        ensemble=tuple(classicalize(rho, best_dir)),
         grid=grid,
     )
 
@@ -345,10 +341,8 @@ def lower_bound(state, measure=MeasureKind.NEGATIVITY, grid=DEFAULT_GRID) -> flo
     rho = _check_tripartite(as_density(state))
     grid = _check_grid(grid)
     gval = global_value(rho, measure)
-    kets = direction_kets(rho.dims[2], grid)
-    k0, _ = _stacked_outcome_blocks(rho, kets)
-    vals = _stacked_single_post(k0, measure, rho.dims[:2])
-    return gval - float(vals.max())
+    probs, first, _ = _grid_outcomes(rho, measure, grid, complement=False)
+    return gval - _best_first_value(probs, first)
 
 
 def upper_bound(state, measure=MeasureKind.NEGATIVITY) -> float:
@@ -359,5 +353,4 @@ def upper_bound(state, measure=MeasureKind.NEGATIVITY) -> float:
     """
     measure = as_measure(measure)
     rho = _check_tripartite(as_density(state))
-    gval = global_value(rho, measure)
-    return gval - post_value(measure, partial_trace(rho, (0, 1)))
+    return global_value(rho, measure) - post_value(measure, partial_trace(rho, (0, 1)))

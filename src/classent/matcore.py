@@ -45,10 +45,11 @@ class DensityMatrix:
     dims : tuple of int
         Subsystem dimensions, leftmost most significant.
 
-    Construction rejects anything that is not Hermitian (elementwise to
-    1e-10), unit trace (to 1e-10) and positive semidefinite (smallest
-    eigenvalue >= -1e-9).  Rejected input is reported with its maximal
-    deviation rather than silently projected back to the valid set.
+    Construction rejects NaN or infinite entries and anything that is
+    not Hermitian (elementwise to 1e-10), unit trace (to 1e-10) and
+    positive semidefinite (smallest eigenvalue >= -1e-9).  Rejected
+    input is reported with its maximal deviation rather than silently
+    projected back to the valid set.
     """
 
     data: np.ndarray
@@ -57,6 +58,8 @@ class DensityMatrix:
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
         mat = np.array(self.data, dtype=complex, order="C")
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("density matrix has NaN or infinite entries")
         side = int(np.prod(dims))
         if mat.ndim != 2 or mat.shape != (side, side):
             raise ValueError(
@@ -102,6 +105,8 @@ class PureState:
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
         vec = np.array(self.amp, dtype=complex).reshape(-1)
+        if not np.all(np.isfinite(vec)):
+            raise ValueError("amplitudes have NaN or infinite entries")
         if vec.size != int(np.prod(dims)):
             raise ValueError(
                 f"amplitude length {vec.size} does not match dims {dims}"
@@ -239,26 +244,6 @@ def _partial_transpose_array(mat: np.ndarray, dims, right) -> np.ndarray:
         axes[i], axes[n + i] = axes[n + i], axes[i]
     side = mat.shape[0]
     return t.transpose(axes).reshape(side, side).copy()
-
-
-def herm_eig(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Parameters
-    ----------
-    h : array_like
-        Hermitian matrix; deviations up to 1e-8 elementwise are accepted.
-
-    Returns
-    -------
-    (w, V)
-        Eigenvalues ``w`` in ascending order and eigenvector columns ``V``.
-    """
-    mat = np.asarray(_as_array(h), dtype=complex)
-    dev = float(np.max(np.abs(mat - mat.conj().T)))
-    if dev > 1e-8:
-        raise ValueError(f"matrix is not Hermitian: max |h - h^dag| = {dev:.3e} > 1e-8")
-    return np.linalg.eigh(mat)
 
 
 def _entropy_bits(w: np.ndarray, cutoff: float = EIG_CUTOFF) -> float:

@@ -180,6 +180,11 @@ class TestFixedPoint:
         with pytest.raises(ValueError, match="unitary"):
             fixed_point_check(states.ghz_state(), np.ones((2, 2)))
 
+    def test_rejects_wrong_shape_basis(self):
+        # the shape is checked before the basis is multiplied out
+        with pytest.raises(ValueError, match="basis must be a 2x2 unitary"):
+            fixed_point_check(states.ghz_state(), np.eye(3, dtype=complex))
+
 
 class TestRankReport:
     def test_tilde_ranks_and_cuts(self):

@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from classent import states
 from classent.classicalize import (
     DEFAULT_GRID,
     MeasurementDirection,
+    _direction_at,
     classicalize,
     delta,
-    direction_grid,
     direction_kets,
     ensemble_values,
     global_value,
@@ -17,7 +19,7 @@ from classent.classicalize import (
     lower_bound,
     upper_bound,
 )
-from classent.matcore import DensityMatrix, kron
+from classent.matcore import DensityMatrix, PureState, kron
 from classent.measures import MeasureKind, post_value
 
 # small even grid: closed under qubit complements, fast enough for loops
@@ -58,10 +60,9 @@ class TestDirectionGrid:
 
     def test_direction_grid_matches_kets(self):
         kets = direction_kets(2, (4, 2))
-        dirs = direction_grid(2, (4, 2))
-        assert len(dirs) == kets.shape[0]
-        for d, k in zip(dirs, kets):
-            np.testing.assert_allclose(d.ket(), k, atol=1e-12)
+        assert kets.shape[0] == 5 * 3
+        for flat, k in enumerate(kets):
+            np.testing.assert_allclose(_direction_at(2, (4, 2), flat).ket(), k, atol=1e-12)
 
     def test_grid_tolerance_scales(self):
         assert grid_tolerance((300, 50)) < grid_tolerance((30, 5))
@@ -71,8 +72,8 @@ class TestClassicalize:
     def test_outcome_probabilities_sum_to_one(self):
         rng = np.random.default_rng(0)
         rho = states.random_density_matrix((2, 2, 2), rng)
-        for direction in direction_grid(2, (4, 2))[:6]:
-            outs = classicalize(rho, direction)
+        for flat in range(6):
+            outs = classicalize(rho, _direction_at(2, (4, 2), flat))
             assert sum(o.prob for o in outs) == pytest.approx(1.0, abs=1e-10)
             for o in outs:
                 if not o.negligible:
@@ -95,8 +96,8 @@ class TestClassicalize:
         for _ in range(5):
             rho = states.random_density_matrix((2, 2, 2), rng)
             vals = ensemble_values(rho, MeasureKind.NEGATIVITY, (6, 4))
-            for flat, direction in enumerate(direction_grid(2, (6, 4))):
-                outs = classicalize(rho, direction)
+            for flat in range(vals.size):
+                outs = classicalize(rho, _direction_at(2, (6, 4), flat))
                 direct = sum(
                     o.prob * post_value(MeasureKind.NEGATIVITY, o.post)
                     for o in outs
@@ -189,3 +190,55 @@ class TestBounds:
         st = states.w_state()
         up = upper_bound(st, MeasureKind.NEGATIVITY)
         assert up == pytest.approx(1.0021909, abs=1e-6)
+
+    @pytest.mark.parametrize("spec", ["ghz", "w", "tilde", "ghz3", "sym3"])
+    def test_delta_carries_the_standalone_bounds(self, spec):
+        # one grid pass serves delta and both bounds: the values delta
+        # reports are exactly those of the standalone bound functions
+        st = states.parse_state_spec(spec)
+        measures = [MeasureKind.NEGATIVITY]
+        if isinstance(st, PureState):
+            measures.append(MeasureKind.SQUASHED)
+        for measure in measures:
+            res = delta(st, measure, GRID)
+            assert res.lower_bound == lower_bound(st, measure, GRID)
+            assert res.upper_bound == upper_bound(st, measure)
+
+
+def _haar_unitary(rng, d):
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+# |a b c> -> |b a c> on three qubits
+_SWAP_AB = [b * 4 + a * 2 + c for a in range(2) for b in range(2) for c in range(2)]
+
+
+class TestInvariance:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        case=hst.sampled_from(
+            [("mixed", "negativity"), ("pure", "negativity"), ("pure", "squashed")]
+        ),
+    )
+    def test_local_unitaries_and_ab_swap(self, seed, case):
+        # delta and both bounds depend on A and B only through local
+        # invariants, and treat A and B alike
+        kind, measure = case
+        rng = np.random.default_rng(seed)
+        if kind == "pure":
+            rho = states.random_pure_state((2, 2, 2), rng).projector()
+        else:
+            rho = states.random_density_matrix((2, 2, 2), rng)
+        u = kron(kron(_haar_unitary(rng, 2), _haar_unitary(rng, 2)), np.eye(2))
+        rotated = DensityMatrix(u @ rho.data @ u.conj().T, rho.dims)
+        swapped = DensityMatrix(rho.data[np.ix_(_SWAP_AB, _SWAP_AB)], rho.dims)
+        grid = (8, 4)
+        want = delta(rho, measure, grid)
+        for other in (rotated, swapped):
+            got = delta(other, measure, grid)
+            assert got.delta == pytest.approx(want.delta, abs=1e-9)
+            assert got.lower_bound == pytest.approx(want.lower_bound, abs=1e-9)
+            assert got.upper_bound == pytest.approx(want.upper_bound, abs=1e-9)

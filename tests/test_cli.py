@@ -82,7 +82,7 @@ class TestDelta:
 
     def test_flower_with_bounds(self, capsys):
         code, out, _ = run(
-            capsys, "delta", "--state", "flower:2", "--bounds", "--grid", "24,8",
+            capsys, "delta", "--state", "flower:2", "--grid", "24,8",
             "--format", "json",
         )
         assert code == 0

@@ -8,7 +8,6 @@ from classent.matcore import (
     DensityMatrix,
     PureState,
     as_density,
-    herm_eig,
     kron,
     load_matrix_csv,
     load_matrix_json,
@@ -69,6 +68,16 @@ class TestDensityMatrix:
         m = np.diag([0.5 + 1e-10, 0.5, 0.0, -1e-10])
         DensityMatrix(m, (2, 2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_rejects_non_finite(self, bad, where):
+        # NaN passes every tolerance comparison, and an off-diagonal inf
+        # would otherwise reach the eigensolver
+        m = np.eye(4, dtype=complex) / 4
+        m[where] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            DensityMatrix(m, (2, 2))
+
 
 class TestPureState:
     def test_projector_is_rank_one(self):
@@ -82,6 +91,11 @@ class TestPureState:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="norm"):
             PureState(np.array([1.0, 1.0]), (2,))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            PureState(np.array([1.0, bad, 0.0, 0.0]), (2, 2))
 
     def test_as_density_passthrough(self):
         rho = DensityMatrix(np.eye(2) / 2, (2,))
@@ -182,10 +196,6 @@ class TestPartialTranspose:
 
 
 class TestSpectral:
-    def test_herm_eig_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
     def test_entropy_pure_is_zero(self):
         psi = PureState(np.array([1.0, 0.0, 0.0, 0.0]), (2, 2))
         assert von_neumann_entropy(psi.projector()) == pytest.approx(0.0, abs=1e-12)
