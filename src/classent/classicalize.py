@@ -98,7 +98,11 @@ class MeasurementOutcome:
 
 @dataclass(frozen=True)
 class DeltaResult:
-    """Grid optimum of the entanglement change and its bound sandwich."""
+    """Grid optimum of the entanglement change and its bound sandwich.
+
+    ``lower_bound <= delta <= upper_bound`` is proved for negativity only;
+    under the squashed surrogate the two values bracket nothing.
+    """
 
     measure: MeasureKind
     delta: float
@@ -260,10 +264,14 @@ def _grid_outcomes(rho: DensityMatrix, measure: MeasureKind, grid, probs=True, c
     return p, first, first + _weighted_values(k, measure, dims_ab)
 
 
-def _best_first_value(probs: np.ndarray, first: np.ndarray) -> float:
-    """Largest E[sigma_n (x) |0><0|] over non-negligible first outcomes."""
+def _floor(gval: float, probs: np.ndarray, first: np.ndarray) -> float:
+    """E[rho] minus the largest E[sigma_n (x) |0><0|] over non-negligible
+    first outcomes; -inf when every first outcome is negligible, since
+    then no outcome bounds delta from below."""
     mask = probs > ZERO_PROB
-    return float(np.where(mask, first / np.where(mask, probs, 1.0), -np.inf).max())
+    if not mask.any():
+        return -np.inf
+    return gval - float((first[mask] / probs[mask]).max())
 
 
 def global_value(state, measure) -> float:
@@ -319,7 +327,7 @@ def delta(state, measure=MeasureKind.NEGATIVITY, grid=DEFAULT_GRID) -> DeltaResu
         delta=gval - ensemble_value,
         global_value=gval,
         ensemble_value=ensemble_value,
-        lower_bound=gval - _best_first_value(probs, first),
+        lower_bound=_floor(gval, probs, first),
         upper_bound=gval - post_value(measure, partial_trace(rho, (0, 1))),
         best_direction=best_dir,
         ensemble=tuple(classicalize(rho, best_dir)),
@@ -335,21 +343,24 @@ def lower_bound(state, measure=MeasureKind.NEGATIVITY, grid=DEFAULT_GRID) -> flo
         delta >= E[rho] - max_x E[sigma_|x> (x) |0><0|].
 
     The complement outcome of a dichotomic qubit measurement is itself
-    a direction, so for even grids this is never above ``delta``.
+    a direction, so for even grids this is never above ``delta``.  The
+    floor is proved for negativity only, and is -inf when every grid
+    direction's first outcome is negligible.
     """
     measure = as_measure(measure)
     rho = _check_tripartite(as_density(state))
     grid = _check_grid(grid)
     gval = global_value(rho, measure)
     probs, first, _ = _grid_outcomes(rho, measure, grid, complement=False)
-    return gval - _best_first_value(probs, first)
+    return _floor(gval, probs, first)
 
 
 def upper_bound(state, measure=MeasureKind.NEGATIVITY) -> float:
     """Ceiling on the entanglement change: discard the outcome label.
 
     Encoding every outcome into the same flag |0> keeps at most
-    E[rho_AB (x) |0><0|], so delta <= E[rho] - that value.
+    E[rho_AB (x) |0><0|], so delta <= E[rho] - that value.  This needs
+    a convex measure, so the ceiling is proved for negativity only.
     """
     measure = as_measure(measure)
     rho = _check_tripartite(as_density(state))

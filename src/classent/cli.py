@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Five subcommands cover the library surface: ``measure`` evaluates a
-named state, ``delta`` runs the grid optimization with its bounds,
+named state, ``delta`` runs the grid optimization (with its bounds
+under negativity, the one measure for which they are proved),
 ``sweep`` tabulates a one-parameter family as CSV, ``verify`` runs the
 certification battery, and ``dump`` emits a state matrix for external
 tools.  Exit codes: 0 success, 1 verification failure, 2 usage error.
@@ -14,53 +15,25 @@ import csv
 import io
 import json
 import sys
-import time
-from dataclasses import dataclass
+from dataclasses import asdict
 
 import numpy as np
 
 from . import states
-from .certify import condition1_check, fixed_point_check, zero_discord_check
-from .classicalize import (
-    DEFAULT_GRID,
-    delta,
-    ensemble_values,
-    global_value,
-    grid_tolerance,
-)
+from .classicalize import delta, global_value
 from .matcore import (
-    Bipartition,
-    DensityMatrix,
-    PureState,
     as_density,
-    kron,
     matrix_to_csv,
     matrix_to_jsonable,
-    numeric_rank,
     partial_trace,
-    partial_transpose,
     tripartite_cuts,
     von_neumann_entropy,
 )
-from .measures import (
-    MeasureKind,
-    negativity,
-    post_value,
-    ppt_verdict,
-    pure_negativity_schmidt,
-    squashed_pure_tripartite,
-    tripartite_negativity,
-)
+from .measures import MeasureKind, negativity
+from .verify import SUITES, run_suite
 
 # Families whose single real parameter can be swept from the CLI.
-SWEEPABLE = {
-    "psi": "p",
-    "rho": "q",
-    "hdk": "t",
-    "ak": "y",
-    "ph": "z",
-    "heis": "T",
-}
+SWEEPABLE = states.one_parameter_families()
 
 
 class UsageError(Exception):
@@ -98,18 +71,9 @@ def _parse_range(text: str) -> tuple[float, float, int]:
     return start, stop, steps
 
 
-def _load_state(spec: str):
-    return states.parse_state_spec(spec)
-
-
 def _measure_list(requested) -> list[str]:
-    if not requested:
-        return [MeasureKind.NEGATIVITY.value]
-    seen = []
-    for m in requested:
-        if m not in seen:
-            seen.append(m)
-    return seen
+    """The requested measure names, first occurrence first; negativity by default."""
+    return list(dict.fromkeys(requested or [MeasureKind.NEGATIVITY.value]))
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -132,7 +96,7 @@ def _emit(payload: dict, lines: list[str], args) -> None:
 
 
 def cmd_measure(args) -> int:
-    st = _load_state(args.state)
+    st = states.parse_state_spec(args.state)
     rho = as_density(st)
     values = {m: global_value(st, m) for m in _measure_list(args.measure)}
     cuts = {cut.label(): negativity(rho, cut) for cut in tripartite_cuts()}
@@ -156,7 +120,7 @@ def cmd_measure(args) -> int:
 
 
 def cmd_delta(args) -> int:
-    st = _load_state(args.state)
+    st = states.parse_state_spec(args.state)
     grid = _parse_grid(args.grid)
     res = delta(st, args.measure, grid)
     payload = res.to_jsonable()
@@ -171,9 +135,12 @@ def cmd_delta(args) -> int:
         + " ".join(f"{k}={v:.6f}" for k, v in res.best_direction.angle_dict().items()),
         "outcome probs: "
         + " ".join(_fmt(out.prob) for out in res.ensemble),
-        f"lower bound: {_fmt(res.lower_bound)}",
-        f"upper bound: {_fmt(res.upper_bound)}",
     ]
+    # the bound sandwich is proved for negativity only
+    if res.measure is MeasureKind.NEGATIVITY:
+        lines += [f"lower bound: {_fmt(res.lower_bound)}", f"upper bound: {_fmt(res.upper_bound)}"]
+    else:
+        del payload["lower_bound"], payload["upper_bound"]
     _emit(payload, lines, args)
     return 0
 
@@ -200,21 +167,20 @@ def cmd_sweep(args) -> int:
 
     header = ["param"]
     for m in measure_names:
-        header += [f"{m}_global", f"{m}_delta", f"{m}_lower", f"{m}_upper"]
+        header += [f"{m}_global", f"{m}_delta"]
+        if m == MeasureKind.NEGATIVITY.value:
+            header += [f"{m}_lower", f"{m}_upper"]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for param in np.linspace(start, stop, steps):
-        st = _load_state(f"{family}:{float(param)!r}")
+        st = states.parse_state_spec(f"{family}:{float(param)!r}")
         row = [_fmt(param)]
         for m in measure_names:
             res = delta(st, m, grid)
-            row += [
-                _fmt(res.global_value),
-                _fmt(res.delta),
-                _fmt(res.lower_bound),
-                _fmt(res.upper_bound),
-            ]
+            row += [_fmt(res.global_value), _fmt(res.delta)]
+            if res.measure is MeasureKind.NEGATIVITY:
+                row += [_fmt(res.lower_bound), _fmt(res.upper_bound)]
         writer.writerow(row)
     _write_text(buf.getvalue(), args.output)
     if args.output is not None:
@@ -231,7 +197,7 @@ def cmd_verify(args) -> int:
         "grid": list(grid),
         "seed": args.seed,
         "passed": passed,
-        "checks": [r.to_jsonable() for r in results],
+        "checks": [asdict(r) for r in results],
     }
     lines = []
     for r in results:
@@ -246,349 +212,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dump(args) -> int:
-    rho = as_density(_load_state(args.state))
+    rho = as_density(states.parse_state_spec(args.state))
     if args.format == "csv":
         text = matrix_to_csv(rho.data)
     else:
         text = json.dumps(matrix_to_jsonable(rho.data)) + "\n"
     _write_text(text, args.output)
     return 0
-
-
-# ---------------------------------------------------------------------------
-# verification battery
-#
-# Each check returns a CheckResult with a numeric margin: the distance
-# to its tightest tolerance, positive on pass.  The acceptance test
-# suite drives the same functions.
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    margin: float
-    detail: str
-    seconds: float
-
-    def to_jsonable(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "margin": self.margin,
-            "seconds": self.seconds,
-            "detail": self.detail,
-        }
-
-
-def _timed(name: str, started: float, margin: float, detail: str, ok: bool = True) -> CheckResult:
-    return CheckResult(
-        name, bool(ok and margin >= 0), float(margin), detail, time.perf_counter() - started
-    )
-
-
-def check_bells_locking(seed=0, grid=DEFAULT_GRID, tol=1e-10) -> CheckResult:
-    """delta of n Bell pairs is 2^(n-2) + 1/2, independent of direction."""
-    t0 = time.perf_counter()
-    margins, notes, ok = [], [], True
-    for n, want, budget in ((2, 1.5, 30.0), (3, 2.5, 120.0)):
-        tn = time.perf_counter()
-        st = states.bell_pairs(n)
-        gval = global_value(st, MeasureKind.NEGATIVITY)
-        vals = ensemble_values(st, MeasureKind.NEGATIVITY, grid)
-        dev = abs(gval - float(vals.max()) - want)
-        spread = float(vals.max() - vals.min())
-        elapsed = time.perf_counter() - tn
-        margins += [1e-9 - dev, 1e-9 - spread]
-        ok = ok and elapsed <= budget
-        notes.append(f"n={n}: dev {dev:.2e} spread {spread:.2e} in {elapsed:.1f}s")
-    return _timed("bells-locking", t0, min(margins), "; ".join(notes), ok)
-
-
-def check_pair_saturation(seed=0, grid=DEFAULT_GRID, tol=1e-10) -> CheckResult:
-    """Maximally entangled pair negativity reaches (d-1)/2."""
-    t0 = time.perf_counter()
-    devs = []
-    for d in range(2, 6):
-        amp = np.zeros(d * d, dtype=complex)
-        amp[:: d + 1] = 1.0 / np.sqrt(d)
-        n = negativity(PureState(amp, (d, d)), Bipartition((0,), (1,)))
-        devs.append(abs(n - (d - 1) / 2))
-    worst = max(devs)
-    return _timed("pair-saturation", t0, 1e-12 - worst, f"worst dev {worst:.2e} over d=2..5")
-
-
-def check_qutrit_values(seed=0, grid=DEFAULT_GRID, tol=1e-10) -> CheckResult:
-    """Qutrit-C benchmark deltas for both measures."""
-    t0 = time.perf_counter()
-    targets = {
-        "ghz3": (1.667, 0.792489),
-        "sym3": (1.86747, 0.971332),
-    }
-    devs, ok = [], True
-    notes = []
-    for name, (want_neg, want_sq) in targets.items():
-        tn = time.perf_counter()
-        st = _load_state(name)
-        dn = delta(st, MeasureKind.NEGATIVITY, grid).delta
-        ds = delta(st, MeasureKind.SQUASHED, grid).delta
-        elapsed = time.perf_counter() - tn
-        devs += [abs(dn - want_neg), abs(ds - want_sq)]
-        ok = ok and elapsed <= 60.0
-        notes.append(f"{name}: ({dn:.5f}, {ds:.6f}) in {elapsed:.1f}s")
-    return _timed("qutrit-values", t0, 1e-2 - max(devs), "; ".join(notes), ok)
-
-
-def check_superposition_sweep(seed=0, grid=DEFAULT_GRID, tol=1e-10) -> CheckResult:
-    """Sweeping the GHZ/W superposition: minimum near p=0.4, maximum at p=0."""
-    t0 = time.perf_counter()
-    ps = np.linspace(0.0, 1.0, 21)
-    margins, notes = [], []
-    for measure in (MeasureKind.NEGATIVITY, MeasureKind.SQUASHED):
-        deltas = np.array(
-            [delta(states.ghz_w_superposition(p), measure, grid).delta for p in ps]
-        )
-        p_min = float(ps[int(np.argmin(deltas))])
-        end_dev = abs(float(deltas[-1]) - 0.5)
-        margins += [
-            0.05 - abs(p_min - 0.4),
-            float(deltas[0] - deltas[1:].max()),
-            1e-3 - end_dev,
-        ]
-        notes.append(
-            f"{measure.value}: min at p={p_min:.2f}, delta(1) off by {end_dev:.1e}"
-        )
-    return _timed("superposition-sweep", t0, min(margins), "; ".join(notes))
-
-
-def _sandwich_gap(st, grid) -> float:
-    """Raw slack min(delta - lower, upper - delta, global - upper) of the chain."""
-    res = delta(st, MeasureKind.NEGATIVITY, grid)
-    dv, up = res.delta, res.upper_bound
-    return min(dv - res.lower_bound, up - dv, res.global_value - up)
-
-
-def check_sandwich_sweeps(seed=0, grid=DEFAULT_GRID, tol=1e-10) -> CheckResult:
-    """lower <= delta <= upper <= global along both benchmark sweeps."""
-    t0 = time.perf_counter()
-    gap = min(
-        _sandwich_gap(_load_state(f"{family}:{float(param)!r}"), grid)
-        for family in ("psi", "rho")
-        for param in np.linspace(0.0, 1.0, 21)
-    )
-    return _timed("sandwich-sweeps", t0, gap + 1e-9, f"worst chain gap {gap:.2e}")
-
-
-def check_sandwich_random(seed=0, grid=DEFAULT_GRID, tol=1e-10) -> CheckResult:
-    """The same chain on 200 seeded random three-qubit mixed states."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    gaps = [
-        _sandwich_gap(states.random_density_matrix((2, 2, 2), rng), grid) for _ in range(200)
-    ]
-    gap = min(gaps)
-    hits = sum(g + 1e-9 >= 0 for g in gaps)
-    return _timed(
-        "sandwich-random", t0, gap + 1e-9, f"{hits}/200 hold; worst chain gap {gap:.2e}"
-    )
-
-
-def check_flower_lock(seed=0, grid=DEFAULT_GRID, tol=1e-10) -> CheckResult:
-    """Flower states lose nothing despite entanglement across AB|C."""
-    t0 = time.perf_counter()
-    margins, ok, notes = [], True, []
-    for d in (2, 3):
-        st = states.flower_state(d)
-        res = delta(st, MeasureKind.NEGATIVITY, grid)
-        dv, up = res.delta, res.upper_bound
-        disc = zero_discord_check(st, grid)
-        resid = fixed_point_check(st, disc.basis if disc.status == "yes" else None)
-        margins += [1e-10 - abs(dv), up - 0.1, 1e-12 - resid]
-        ok = ok and disc.status == "yes"
-        notes.append(f"d={d}: delta {dv:.1e}, upper {up:.3f}, discord {disc.status}")
-    return _timed("flower-lock", t0, min(margins), "; ".join(notes), ok)
-
-
-def check_tilde_scan(seed=0, grid=DEFAULT_GRID, tol=1e-10) -> CheckResult:
-    """Every direction leaves the rank-4 PPT-invariant state separable."""
-    t0 = time.perf_counter()
-    rep = condition1_check(states.tilde_state(), grid, tol)
-    detail = f"{rep.status} on {rep.directions_checked} directions, worst {rep.witness:.2e}"
-    return _timed("tilde-scan", t0, rep.witness + tol, detail, rep.passed)
-
-
-def check_ghz_scan_rejects(seed=0, grid=DEFAULT_GRID, tol=1e-10) -> CheckResult:
-    """The scan must catch GHZ: some direction leaves an NPT pair."""
-    t0 = time.perf_counter()
-    rep = condition1_check(states.ghz_state(), grid, tol)
-    ok = rep.status == "fail" and rep.direction is not None
-    angles = rep.direction.angle_dict() if rep.direction is not None else {}
-    detail = f"{rep.status}, witness {rep.witness:.3f} at " + " ".join(
-        f"{k}={v:.4f}" for k, v in angles.items()
-    )
-    return _timed("ghz-scan-rejects", t0, -rep.witness - tol, detail, ok)
-
-
-def check_upb_scan(seed=0, grid=DEFAULT_GRID, tol=1e-10) -> CheckResult:
-    """The unextendible-product-basis state passes the full scan."""
-    t0 = time.perf_counter()
-    rep = condition1_check(states.upb_state(), grid, tol)
-    detail = f"{rep.status} on {rep.directions_checked} directions, worst {rep.witness:.2e}"
-    return _timed("upb-scan", t0, rep.witness + tol, detail, rep.passed)
-
-
-def check_tilde_complete_loss(seed=0, grid=DEFAULT_GRID, tol=1e-10) -> CheckResult:
-    """Full certification of the rank-4 complete-loss state."""
-    t0 = time.perf_counter()
-    st = states.tilde_state()
-    pt_a = partial_transpose(st, Bipartition((1, 2), (0,)))
-    min_eig = float(np.linalg.eigvalsh(pt_a)[0])
-    pt_c = partial_transpose(st, Bipartition((0, 1), (2,)))
-    pt_c_exact = bool(np.array_equal(pt_c, st.data))
-    swap = [b * 4 + a * 2 + c for a in range(2) for b in range(2) for c in range(2)]
-    swap_exact = bool(np.array_equal(st.data[np.ix_(swap, swap)], st.data))
-    rank = numeric_rank(st, 1e-8)
-    rep = condition1_check(st, grid, tol)
-    n_grid = (grid[0] + 1) * (grid[1] + 1)
-    res = delta(st, MeasureKind.NEGATIVITY, grid)
-    loss_dev = abs(res.delta - res.global_value)
-    margin = min(
-        1e-9 - abs(min_eig + 0.125),
-        rep.witness + tol,
-        2 * grid_tolerance(grid) - loss_dev,
-    )
-    ok = (
-        pt_c_exact
-        and swap_exact
-        and rank == 4
-        and rep.passed
-        and rep.directions_checked == n_grid
-    )
-    detail = (
-        f"min PT_A eig {min_eig:.6f}, PT_C exact {pt_c_exact}, swap exact {swap_exact}, "
-        f"rank {rank}, scan {rep.status} on {rep.directions_checked}, "
-        f"delta vs total dev {loss_dev:.2e}"
-    )
-    return _timed("tilde-complete-loss", t0, margin, detail, ok)
-
-
-def check_zoo_ranks_ppt(seed=0, grid=DEFAULT_GRID, tol=1e-10) -> CheckResult:
-    """Ranks (4, 7, 8, 5) for the PPT zoo, PPT on every bipartition."""
-    t0 = time.perf_counter()
-    zoo = [
-        ("upb", states.upb_state(), 4),
-        ("adma:2,3,5", states.adma_state(2, 3, 5), 7),
-        ("ak:2.5", states.ak_state(2.5), 8),
-        ("ph:1", states.ph_state(1.0), 5),
-    ]
-    ok = True
-    worst = np.inf
-    ranks = []
-    for name, st, want in zoo:
-        rank = numeric_rank(st, 1e-8)
-        ranks.append(rank)
-        ok = ok and rank == want
-        for cut in tripartite_cuts():
-            worst = min(worst, ppt_verdict(st, cut).witness)
-    detail = f"ranks {tuple(ranks)}, worst witness {worst:.2e}"
-    return _timed("zoo-ranks-ppt", t0, worst + 1e-10, detail, ok)
-
-
-def check_hdk_cut_structure(seed=0, grid=DEFAULT_GRID, tol=1e-10) -> CheckResult:
-    """One PPT cut, two NPT cuts, and a rank-4 pair marginal."""
-    t0 = time.perf_counter()
-    st = states.hdk_state()
-    w = {cut.label(): ppt_verdict(st, cut).witness for cut in tripartite_cuts()}
-    rank_ab = numeric_rank(partial_trace(st, (0, 1)), 1e-8)
-    margin = min(
-        w["AB|C"] + 1e-12,
-        -1e-4 - w["BC|A"],
-        -1e-4 - w["AC|B"],
-    )
-    detail = (
-        f"AB|C {w['AB|C']:.2e}, BC|A {w['BC|A']:.2e}, AC|B {w['AC|B']:.2e}, "
-        f"rank_ab {rank_ab}"
-    )
-    return _timed("hdk-cut-structure", t0, margin, detail, rank_ab == 4)
-
-
-def check_thermal_window(seed=0, grid=DEFAULT_GRID, tol=1e-10) -> CheckResult:
-    """Hot ring PPT everywhere; cold ring clearly NPT."""
-    t0 = time.perf_counter()
-    hot = states.heisenberg_thermal(5.0)
-    cold = states.heisenberg_thermal(1.0)
-    hot_worst = min(ppt_verdict(hot, cut).witness for cut in tripartite_cuts())
-    cold_worst = min(ppt_verdict(cold, cut).witness for cut in tripartite_cuts())
-    margin = min(hot_worst + 1e-10, -1e-3 - cold_worst)
-    detail = f"T=5 worst {hot_worst:.2e}, T=1 worst {cold_worst:.2e}"
-    return _timed("thermal-window", t0, margin, detail)
-
-
-def check_oracle_agreement(seed=0, grid=DEFAULT_GRID, tol=1e-10) -> CheckResult:
-    """Schmidt and eigenvalue negativity routes agree; so do the
-    two-qubit reduction and the direct tripartite value."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    cuts = tripartite_cuts()
-    for _ in range(1000):
-        psi = states.random_pure_state((2, 2, 2), rng)
-        for cut in cuts:
-            dev = abs(pure_negativity_schmidt(psi, cut) - negativity(psi, cut))
-            worst = max(worst, dev)
-    flag = np.zeros((2, 2), dtype=complex)
-    flag[0, 0] = 1.0
-    for _ in range(200):
-        sigma = states.random_density_matrix((2, 2), rng)
-        lifted = DensityMatrix(kron(sigma.data, flag), (2, 2, 2))
-        dev = abs(post_value(MeasureKind.NEGATIVITY, sigma) - tripartite_negativity(lifted))
-        worst = max(worst, dev)
-    return _timed("oracle-agreement", t0, 1e-10 - worst, f"worst dev {worst:.2e}")
-
-
-def check_squashed_pure(seed=0, grid=DEFAULT_GRID, tol=1e-10) -> CheckResult:
-    """Closed-form squashed values for GHZ and W."""
-    t0 = time.perf_counter()
-    dev_ghz = abs(squashed_pure_tripartite(states.ghz_state()) - 1.5)
-    want_w = 1.5 * (np.log2(3.0) - 2.0 / 3.0)
-    dev_w = abs(squashed_pure_tripartite(states.w_state()) - want_w)
-    margin = min(1e-12 - dev_ghz, 1e-9 - dev_w)
-    return _timed(
-        "squashed-pure", t0, margin, f"GHZ dev {dev_ghz:.2e}, W dev {dev_w:.2e}"
-    )
-
-
-_CHECKS = (
-    (check_bells_locking, frozenset()),
-    (check_pair_saturation, frozenset()),
-    (check_qutrit_values, frozenset()),
-    (check_superposition_sweep, frozenset()),
-    (check_sandwich_sweeps, frozenset({"bounds"})),
-    (check_sandwich_random, frozenset({"bounds"})),
-    (check_flower_lock, frozenset()),
-    (check_tilde_scan, frozenset({"condition1"})),
-    (check_ghz_scan_rejects, frozenset({"condition1"})),
-    (check_upb_scan, frozenset({"condition1"})),
-    (check_tilde_complete_loss, frozenset({"zoo"})),
-    (check_zoo_ranks_ppt, frozenset({"zoo"})),
-    (check_hdk_cut_structure, frozenset({"zoo"})),
-    (check_thermal_window, frozenset({"zoo"})),
-    (check_oracle_agreement, frozenset()),
-    (check_squashed_pure, frozenset()),
-)
-
-SUITES = ("zoo", "condition1", "bounds", "all")
-
-
-def run_suite(suite: str, seed: int = 0, grid=DEFAULT_GRID, tol: float = 1e-10):
-    """Run one named suite of the battery; "all" runs every check."""
-    if suite not in SUITES:
-        raise UsageError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
-    return [
-        fn(seed=seed, grid=grid, tol=tol)
-        for fn, tags in _CHECKS
-        if suite == "all" or suite in tags
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -654,13 +284,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -331,6 +331,14 @@ def state_families() -> tuple[str, ...]:
     return tuple(_FAMILIES)
 
 
+def one_parameter_families() -> tuple[str, ...]:
+    """Families that take a single real parameter, in catalog order."""
+    return tuple(
+        name for name, (_, params, _) in _FAMILIES.items()
+        if len(params) == 1 and name not in _INT_PARAMS
+    )
+
+
 def parse_state_spec(text: str):
     """Build a state from a spec string like ``ghz``, ``psi:0.3`` or ``adma:2,3,5``.
 

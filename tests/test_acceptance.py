@@ -1,94 +1,20 @@
 """End-to-end acceptance battery.
 
-Each test runs one headline result through the same checks the
-``verify`` subcommand uses, prints a single pass/fail line with the
-measured margin, and asserts at the stated tolerance.  Run with
-``pytest -s`` to see the lines as they complete.
+One test per check registered in ``classent.verify``, in battery order
+and named by the check, so a check is covered as soon as it exists.
+Each runs at the defaults of ``classent verify``, prints one pass/fail
+line with its margin and detail, and asserts that the check passes.
+Run with ``pytest -s`` to see the lines as they complete.
 """
 
-import numpy as np
+import pytest
 
-from classent.cli import (
-    check_bells_locking,
-    check_flower_lock,
-    check_hdk_cut_structure,
-    check_oracle_agreement,
-    check_pair_saturation,
-    check_qutrit_values,
-    check_sandwich_random,
-    check_sandwich_sweeps,
-    check_squashed_pure,
-    check_superposition_sweep,
-    check_thermal_window,
-    check_tilde_complete_loss,
-    check_zoo_ranks_ppt,
-)
+from classent.verify import CHECKS
 
 
-def report(tag, *results):
-    ok = all(r.passed for r in results)
-    detail = "; ".join(f"{r.name}: {r.detail} [margin {r.margin:.2e}]" for r in results)
-    print(f"[{tag}] {'PASS' if ok else 'FAIL'} — {detail}")
-    assert ok, detail
-    return results
-
-
-def test_01_bell_chain_delta_direction_independent():
-    # delta = 2^(n-2) + 1/2 for 2 and 3 pairs, within 1e-9, any direction
-    report("criterion 01", check_bells_locking())
-
-
-def test_02_maximally_entangled_pair_saturation():
-    # negativity (d-1)/2 for d = 2..5, within 1e-12
-    report("criterion 02", check_pair_saturation())
-
-
-def test_03_qutrit_flag_benchmark_deltas():
-    # (1.667, 0.792489) and (1.86747, 0.971332) within 1e-2 at full grid
-    report("criterion 03", check_qutrit_values())
-
-
-def test_04_superposition_sweep_shape():
-    # minimum near p = 0.4, maximum at the single-excitation end, 0.5 at p = 1
-    report("criterion 04", check_superposition_sweep())
-
-
-def test_05_bound_sandwich_everywhere():
-    # lower <= delta <= upper <= global along sweeps and 200 random states
-    report("criterion 05", check_sandwich_sweeps(), check_sandwich_random(seed=0))
-
-
-def test_06_flower_states_lose_nothing():
-    # delta 0 despite an entangled AB|C cut; classical on C; channel fixed point
-    report("criterion 06", check_flower_lock())
-
-
-def test_07_invariant_state_complete_loss():
-    # rank-4 state equal to its own C-transpose: full scan passes, delta
-    # equals the total negativity
-    report("criterion 07", check_tilde_complete_loss())
-
-
-def test_08_ppt_zoo_ranks():
-    # ranks (4, 7, 8, 5); every bipartition PPT
-    report("criterion 08", check_zoo_ranks_ppt())
-
-
-def test_09_one_sided_ppt_cut_structure():
-    # PPT across AB|C only; rank-4 pair marginal
-    report("criterion 09", check_hdk_cut_structure())
-
-
-def test_10_thermal_ring_window():
-    # hot ring PPT on all cuts, cold ring clearly NPT
-    report("criterion 10", check_thermal_window())
-
-
-def test_11_negativity_oracle_agreement():
-    # Schmidt route vs eigenvalue route; reduction vs lifted tripartite
-    report("criterion 11", check_oracle_agreement(seed=0))
-
-
-def test_12_squashed_closed_forms():
-    # 3/2 for GHZ exactly; 3/2 (log2 3 - 2/3) for W
-    report("criterion 12", check_squashed_pure())
+@pytest.mark.parametrize("name", list(CHECKS))
+def test_check(name):
+    run, _ = CHECKS[name]
+    r = run()
+    print(f"[{r.name}] {'PASS' if r.passed else 'FAIL'} — {r.detail} [margin {r.margin:.2e}]")
+    assert r.passed, r.detail

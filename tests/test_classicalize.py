@@ -191,6 +191,28 @@ class TestBounds:
         up = upper_bound(st, MeasureKind.NEGATIVITY)
         assert up == pytest.approx(1.0021909, abs=1e-6)
 
+    def test_no_floor_when_every_first_outcome_is_negligible(self):
+        # x in {0, pi} gives only kets along |0>, which never see C = |1>
+        sigma = states.random_density_matrix((2, 2), np.random.default_rng(5))
+        flag = np.diag([0.0, 1.0]).astype(complex)
+        st = DensityMatrix(kron(sigma.data, flag), (2, 2, 2))
+        res = delta(st, MeasureKind.NEGATIVITY, (1, 2))
+        assert res.lower_bound == lower_bound(st, MeasureKind.NEGATIVITY, (1, 2)) == -np.inf
+        assert res.lower_bound <= res.delta
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=hst.integers(0, 2**32 - 1), pure=hst.booleans())
+    def test_sandwich_on_random_qutrit_c_states(self, seed, pure):
+        rng = np.random.default_rng(seed)
+        if pure:
+            rho = states.random_pure_state((2, 2, 3), rng).projector()
+        else:
+            rho = states.random_density_matrix((2, 2, 3), rng)
+        res = delta(rho, MeasureKind.NEGATIVITY, (8, 4))
+        assert res.lower_bound <= res.delta + 1e-9
+        assert res.delta <= res.upper_bound + 1e-9
+        assert res.upper_bound <= res.global_value + 1e-9
+
     @pytest.mark.parametrize("spec", ["ghz", "w", "tilde", "ghz3", "sym3"])
     def test_delta_carries_the_standalone_bounds(self, spec):
         # one grid pass serves delta and both bounds: the values delta

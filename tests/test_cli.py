@@ -8,6 +8,7 @@ import pytest
 from classent import states
 from classent.cli import main
 from classent.matcore import load_matrix_csv, load_matrix_json
+from classent.verify import run_suite
 
 
 def run(capsys, *argv):
@@ -90,6 +91,18 @@ class TestDelta:
         assert payload["delta"] == pytest.approx(0.0, abs=1e-10)
         assert payload["upper_bound"] == pytest.approx(0.25, abs=1e-9)
 
+    def test_squashed_reports_no_bounds(self, capsys):
+        # the bound sandwich is proved for negativity only
+        argv = ["delta", "--state", "w", "--measure", "squashed", "--grid", "8,4"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "delta:" in out and "bound" not in out
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert "delta" in payload
+        assert "lower_bound" not in payload and "upper_bound" not in payload
+
     def test_plain_report_lines(self, capsys):
         code, out, _ = run(capsys, "delta", "--state", "ghz", "--grid", "24,8")
         assert code == 0
@@ -130,8 +143,10 @@ class TestSweep:
             "--grid", "8,4", "--measure", "negativity", "--measure", "squashed",
         )
         assert code == 0
-        header = out.splitlines()[0]
-        assert "squashed_delta" in header and "negativity_lower" in header
+        assert out.splitlines()[0] == (
+            "param,negativity_global,negativity_delta,negativity_lower,"
+            "negativity_upper,squashed_global,squashed_delta"
+        )
 
     def test_twelve_significant_digits(self, capsys):
         code, out, _ = run(
@@ -229,6 +244,10 @@ class TestVerify:
     def test_unknown_suite_rejected(self, capsys):
         code, _, _ = run(capsys, "verify", "everything")
         assert code == 2
+
+    def test_run_suite_rejects_unknown_suite(self):
+        with pytest.raises(ValueError, match="unknown suite"):
+            run_suite("everything")
 
     def test_zoo_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "zoo")
