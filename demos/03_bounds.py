@@ -14,7 +14,6 @@ pure family psi(p) the upper bound is the interesting one.
 import numpy as np
 
 from classent import (
-    DensityMatrix,
     MeasureKind,
     delta,
     global_value,
@@ -22,21 +21,15 @@ from classent import (
     parse_state_spec,
     upper_bound,
 )
+from classent.states import random_density_matrix
 
 rng = np.random.default_rng(7)
 GRID = (24, 8)
 
 
-def random_mixed(dims):
-    n = int(np.prod(dims))
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real, dims)
-
-
 print("random (2,2,2) mixed states: lower <= delta <= upper <= global")
 for _ in range(5):
-    rho = random_mixed((2, 2, 2))
+    rho = random_density_matrix((2, 2, 2), rng)
     lo = lower_bound(rho, MeasureKind.NEGATIVITY, GRID)
     d = delta(rho, MeasureKind.NEGATIVITY, GRID).delta
     hi = upper_bound(rho, MeasureKind.NEGATIVITY)

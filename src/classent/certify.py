@@ -33,14 +33,8 @@ from .classicalize import (
     c_blocks,
     direction_kets,
 )
-from .matcore import (
-    as_density,
-    matrix_to_jsonable,
-    numeric_rank,
-    partial_trace,
-    tripartite_cuts,
-)
-from .measures import SeparabilityVerdict, ppt_verdict
+from .matcore import as_tripartite, is_pure, numeric_rank, partial_trace, tripartite_cuts
+from .measures import PPT_TOL, SeparabilityVerdict, ppt_verdict
 
 # Off-diagonal C-blocks below this size count as vanished.
 BLOCK_TOL = 1e-10
@@ -48,6 +42,9 @@ BLOCK_TOL = 1e-10
 # Marginal eigenvalues closer than this leave the diagonalizing basis
 # ambiguous, so the discord test falls back to a search.
 DEGENERACY_GAP = 1e-8
+
+# Eigenvalues above this count toward the ranks of the rank report.
+RANK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -70,19 +67,8 @@ class Condition1Report:
     def passed(self) -> bool:
         return self.status == "pass"
 
-    def to_jsonable(self) -> dict:
-        out = {
-            "status": self.status,
-            "directions_checked": self.directions_checked,
-            "skipped": self.skipped,
-            "witness": self.witness,
-        }
-        if self.direction is not None:
-            out["direction"] = self.direction.angle_dict()
-        return out
 
-
-def condition1_check(state, grid=DEFAULT_GRID, tol: float = 1e-10) -> Condition1Report:
+def condition1_check(state, grid=DEFAULT_GRID, tol: float = PPT_TOL) -> Condition1Report:
     """Scan every grid direction |x> on C for a separable post state.
 
     The normalized post state sigma_|x> = <x|rho|x> / p_x must be PPT
@@ -91,8 +77,8 @@ def condition1_check(state, grid=DEFAULT_GRID, tol: float = 1e-10) -> Condition1
     Directions with p_x below the zero-probability threshold are
     skipped.
     """
-    rho = as_density(state)
-    if rho.n_subsystems != 3 or rho.dims[0] != 2 or rho.dims[1] != 2:
+    rho = as_tripartite(state)
+    if rho.dims[:2] != (2, 2):
         raise ValueError(
             f"PPT not decisive for dims {rho.dims}; the scan needs qubit A and B"
         )
@@ -126,12 +112,6 @@ class DiscordReport:
     status: str
     basis: np.ndarray | None
 
-    def to_jsonable(self) -> dict:
-        out = {"status": self.status}
-        if self.basis is not None:
-            out["basis"] = matrix_to_jsonable(self.basis)
-        return out
-
 
 def zero_discord_check(state, grid=DEFAULT_GRID) -> DiscordReport:
     """Decide whether rho = sum_i p_i sigma_i (x) |b_i><b_i| for some basis.
@@ -143,9 +123,7 @@ def zero_discord_check(state, grid=DEFAULT_GRID) -> DiscordReport:
     with a degenerate marginal falls back to a grid search over qubit
     bases, which returns yes or undecided, never a false no.
     """
-    rho = as_density(state)
-    if rho.n_subsystems != 3:
-        raise ValueError(f"the discord check acts on tripartite states, got dims {rho.dims}")
+    rho = as_tripartite(state)
     dc = rho.dims[2]
     blocks = c_blocks(rho)
     rho_c = partial_trace(rho, (2,)).data
@@ -155,8 +133,7 @@ def zero_discord_check(state, grid=DEFAULT_GRID) -> DiscordReport:
     off = _contract(blocks, basis.conj().T[i], basis.T[j])
     if float(np.max(np.abs(off))) <= BLOCK_TOL:
         return DiscordReport("yes", basis)
-    purity = float(np.trace(rho.data @ rho.data).real)
-    if purity >= 1.0 - 1e-10:
+    if is_pure(rho):
         # A pure state is classical on C only if it is a product across
         # AB|C, and then the marginal eigenbasis above already passed.
         return DiscordReport("no", None)
@@ -184,9 +161,7 @@ def fixed_point_check(state, basis: np.ndarray | None = None) -> float:
     the largest entrywise deviation; zero means the classicalization
     channel fixes the state.
     """
-    rho = as_density(state)
-    if rho.n_subsystems != 3:
-        raise ValueError(f"the fixed-point check acts on tripartite states, got dims {rho.dims}")
+    rho = as_tripartite(state)
     dc = rho.dims[2]
     if basis is None:
         basis = np.eye(dc, dtype=complex)
@@ -211,38 +186,21 @@ class RankReport:
     ppt: dict[str, SeparabilityVerdict]
     flags: tuple[str, ...]
 
-    def to_jsonable(self) -> dict:
-        return {
-            "rank": self.rank,
-            "rank_ab": self.rank_ab,
-            "ppt": {
-                label: {"status": v.status, "witness": v.witness}
-                for label, v in self.ppt.items()
-            },
-            "flags": list(self.flags),
-        }
 
-
-def rank_report(
-    state,
-    tol: float = 1e-8,
-    condition1_pass: bool | None = None,
-) -> RankReport:
+def rank_report(state, condition1_pass: bool = False) -> RankReport:
     """Ranks and PPT verdicts, with a consistency audit on complete loss.
 
     A state with every measurement direction leaving a separable pair
     behind cannot be NPT for both A|BC and B|AC with a reduced state of
     rank at most 2; if additionally AB|C is PPT, its global rank must
     exceed 2 as well.  When ``condition1_pass`` is True the audit flags
-    any violation; with None the hypotheses are unestablished and no
+    any violation; otherwise the hypotheses are unestablished and no
     flag can fire.
     """
-    rho = as_density(state)
-    if rho.n_subsystems != 3:
-        raise ValueError(f"the rank report covers tripartite states, got dims {rho.dims}")
+    rho = as_tripartite(state)
     ppt = {cut.label(): ppt_verdict(rho, cut) for cut in tripartite_cuts()}
-    rank = numeric_rank(rho, tol)
-    rank_ab = numeric_rank(partial_trace(rho, (0, 1)), tol)
+    rank = numeric_rank(rho, RANK_TOL)
+    rank_ab = numeric_rank(partial_trace(rho, (0, 1)), RANK_TOL)
     flags = []
     if condition1_pass:
         npt_both = ppt["BC|A"].is_entangled and ppt["AC|B"].is_entangled
@@ -269,38 +227,23 @@ class CertReport:
     fixed_point_residual: float
     ranks: RankReport
 
-    def to_jsonable(self) -> dict:
-        return {
-            "condition1": (
-                self.condition1.to_jsonable()
-                if self.condition1 is not None
-                else {"status": "skipped", "reason": self.condition1_skipped}
-            ),
-            "zero_discord": self.zero_discord.to_jsonable(),
-            "fixed_point_residual": self.fixed_point_residual,
-            "ranks": self.ranks.to_jsonable(),
-        }
 
-
-def certify_state(state, grid=DEFAULT_GRID, tol: float = 1e-10) -> CertReport:
+def certify_state(state, grid=DEFAULT_GRID) -> CertReport:
     """Run every certification check that applies to the state.
 
     The separability scan is skipped (with a reason) when A or B is not
     a qubit; the discord basis, when one is found, feeds the
     fixed-point residual.
     """
-    rho = as_density(state)
+    rho = as_tripartite(state)
     condition1 = None
     skipped = None
     try:
-        condition1 = condition1_check(rho, grid=grid, tol=tol)
+        condition1 = condition1_check(rho, grid=grid)
     except ValueError as exc:
         skipped = str(exc)
     discord = zero_discord_check(rho, grid=grid)
     basis = discord.basis if discord.status == "yes" else None
     residual = fixed_point_check(rho, basis)
-    ranks = rank_report(
-        rho,
-        condition1_pass=None if condition1 is None else condition1.passed,
-    )
+    ranks = rank_report(rho, condition1_pass=condition1 is not None and condition1.passed)
     return CertReport(condition1, skipped, discord, residual, ranks)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import EIG_CUTOFF, DensityMatrix, as_density, partial_trace
+from .matcore import EIG_CUTOFF, DensityMatrix, as_tripartite, partial_trace
 from .measures import (
     MeasureKind,
     NEG_EIG_THRESHOLD,
@@ -162,12 +162,6 @@ def _direction_at(dim_c: int, grid, flat: int) -> MeasurementDirection:
     return MeasurementDirection((np.pi * k / nx, np.pi * j / nt), (k, j), dim_c)
 
 
-def _check_tripartite(rho: DensityMatrix) -> DensityMatrix:
-    if rho.n_subsystems != 3:
-        raise ValueError(f"classicalization acts on tripartite states, got dims {rho.dims}")
-    return rho
-
-
 def c_blocks(rho: DensityMatrix) -> np.ndarray:
     """Operator blocks M[i, j] = <i|_C rho |j>_C, shape (dC, dC, dAB, dAB)."""
     da, db, dc = rho.dims
@@ -182,7 +176,7 @@ def classicalize(state, direction: MeasurementDirection) -> list[MeasurementOutc
     Each non-negligible branch carries a validated normalized post state
     on A (x) B.
     """
-    rho = _check_tripartite(as_density(state))
+    rho = as_tripartite(state)
     da, db, dc = rho.dims
     if direction.dim != dc:
         raise ValueError(
@@ -277,7 +271,7 @@ def _floor(gval: float, probs: np.ndarray, first: np.ndarray) -> float:
 def global_value(state, measure) -> float:
     """Measure value of the intact tripartite state."""
     measure = as_measure(measure)
-    rho = _check_tripartite(as_density(state))
+    rho = as_tripartite(state)
     if measure is MeasureKind.NEGATIVITY:
         return tripartite_negativity(rho)
     return squashed_pure_tripartite(rho)
@@ -290,7 +284,7 @@ def ensemble_values(state, measure=MeasureKind.NEGATIVITY, grid=DEFAULT_GRID) ->
     order; ``delta`` subtracts its maximum from the global value.
     """
     measure = as_measure(measure)
-    rho = _check_tripartite(as_density(state))
+    rho = as_tripartite(state)
     return _grid_outcomes(rho, measure, _check_grid(grid), probs=False)[2]
 
 
@@ -315,7 +309,7 @@ def delta(state, measure=MeasureKind.NEGATIVITY, grid=DEFAULT_GRID) -> DeltaResu
         flat grid index wins.
     """
     measure = as_measure(measure)
-    rho = _check_tripartite(as_density(state))
+    rho = as_tripartite(state)
     grid = _check_grid(grid)
     gval = global_value(rho, measure)
     probs, first, values = _grid_outcomes(rho, measure, grid)
@@ -348,7 +342,7 @@ def lower_bound(state, measure=MeasureKind.NEGATIVITY, grid=DEFAULT_GRID) -> flo
     direction's first outcome is negligible.
     """
     measure = as_measure(measure)
-    rho = _check_tripartite(as_density(state))
+    rho = as_tripartite(state)
     grid = _check_grid(grid)
     gval = global_value(rho, measure)
     probs, first, _ = _grid_outcomes(rho, measure, grid, complement=False)
@@ -363,5 +357,5 @@ def upper_bound(state, measure=MeasureKind.NEGATIVITY) -> float:
     a convex measure, so the ceiling is proved for negativity only.
     """
     measure = as_measure(measure)
-    rho = _check_tripartite(as_density(state))
+    rho = as_tripartite(state)
     return global_value(rho, measure) - post_value(measure, partial_trace(rho, (0, 1)))

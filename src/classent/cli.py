@@ -20,7 +20,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import states
-from .classicalize import delta, global_value
+from .classicalize import DEFAULT_GRID, delta, global_value
 from .matcore import (
     as_density,
     matrix_to_csv,
@@ -29,11 +29,14 @@ from .matcore import (
     tripartite_cuts,
     von_neumann_entropy,
 )
-from .measures import MeasureKind, negativity
+from .measures import PPT_TOL, MeasureKind, negativity
 from .verify import SUITES, run_suite
 
 # Families whose single real parameter can be swept from the CLI.
 SWEEPABLE = states.one_parameter_families()
+
+# --grid default, in the NX,NT form the flag takes
+_DEFAULT_GRID_FLAG = ",".join(str(n) for n in DEFAULT_GRID)
 
 
 class UsageError(Exception):
@@ -243,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("delta", help="entanglement change under the best grid measurement")
     p.add_argument("--state", required=True, metavar="SPEC")
     p.add_argument("--measure", choices=measures, default="negativity")
-    p.add_argument("--grid", default="300,50", metavar="NX,NT")
+    p.add_argument("--grid", default=_DEFAULT_GRID_FLAG, metavar="NX,NT")
     p.add_argument("--format", choices=["json", "plain"], default="plain")
     p.add_argument("--output", metavar="PATH")
     p.set_defaults(func=cmd_delta)
@@ -254,15 +257,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range", dest="sweep_range", metavar="A,B,N",
                    help="start, stop, steps (default 0,1,21 for psi and rho)")
     p.add_argument("--measure", action="append", choices=measures)
-    p.add_argument("--grid", default="300,50", metavar="NX,NT")
+    p.add_argument("--grid", default=_DEFAULT_GRID_FLAG, metavar="NX,NT")
     p.add_argument("--output", metavar="PATH")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run the certification battery")
     p.add_argument("suite", nargs="?", default="all", choices=list(SUITES))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grid", default="300,50", metavar="NX,NT")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--grid", default=_DEFAULT_GRID_FLAG, metavar="NX,NT")
+    p.add_argument("--tol", type=float, default=PPT_TOL)
     p.add_argument("--format", choices=["json", "plain"], default="plain")
     p.add_argument("--output", metavar="PATH")
     p.set_defaults(func=cmd_verify)

@@ -24,6 +24,9 @@ PSD_TOL = 1e-9
 # Eigenvalues below this cutoff are treated as zero in entropies and ranks.
 EIG_CUTOFF = 1e-10
 
+# A state with tr(rho^2) this close to 1 counts as pure.
+PURITY_TOL = 1e-10
+
 _LETTERS = "ABCDEFGH"
 
 
@@ -171,6 +174,19 @@ def as_density(state) -> DensityMatrix:
     raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
 
 
+def as_tripartite(state) -> DensityMatrix:
+    """Coerce like :func:`as_density`, rejecting anything but three subsystems."""
+    rho = as_density(state)
+    if rho.n_subsystems != 3:
+        raise ValueError(f"expected a tripartite state, got dims {rho.dims}")
+    return rho
+
+
+def is_pure(rho: DensityMatrix) -> bool:
+    """Whether tr(rho^2) reaches 1 within ``PURITY_TOL``."""
+    return float(np.trace(rho.data @ rho.data).real) >= 1.0 - PURITY_TOL
+
+
 def tripartite_cuts() -> tuple[Bipartition, Bipartition, Bipartition]:
     """The three bipartitions AB|C, BC|A, AC|B of a tripartite system."""
     return (
@@ -246,22 +262,18 @@ def _partial_transpose_array(mat: np.ndarray, dims, right) -> np.ndarray:
     return t.transpose(axes).reshape(side, side).copy()
 
 
-def _entropy_bits(w: np.ndarray, cutoff: float = EIG_CUTOFF) -> float:
-    """Shannon entropy in bits of an eigenvalue vector, zeros cut off."""
-    w = w[w > cutoff]
+def von_neumann_entropy(rho) -> float:
+    """Von Neumann entropy in bits, S = -tr(rho log2 rho).
+
+    Eigenvalues at or below ``EIG_CUTOFF`` are discarded, so the
+    pure-state entropy is exactly zero despite rounding in the
+    eigensolver.
+    """
+    w = np.linalg.eigvalsh(_as_array(rho))
+    w = w[w > EIG_CUTOFF]
     if w.size == 0:
         return 0.0
     return float(-np.sum(w * np.log2(w)))
-
-
-def von_neumann_entropy(rho, cutoff: float = EIG_CUTOFF) -> float:
-    """Von Neumann entropy in bits, S = -tr(rho log2 rho).
-
-    Eigenvalues at or below ``cutoff`` are discarded, so the pure-state
-    entropy is exactly zero despite rounding in the eigensolver.
-    """
-    w = np.linalg.eigvalsh(_as_array(rho))
-    return _entropy_bits(w, cutoff)
 
 
 def numeric_rank(rho, tol: float = EIG_CUTOFF) -> int:

@@ -18,16 +18,20 @@ import numpy as np
 
 from .matcore import (
     Bipartition,
-    DensityMatrix,
     PureState,
-    _entropy_bits,
     as_density,
+    as_tripartite,
+    is_pure,
     partial_trace,
     partial_transpose,
     tripartite_cuts,
+    von_neumann_entropy,
 )
 
 NEG_EIG_THRESHOLD = 1e-12
+
+# A partial-transpose eigenvalue below -PPT_TOL witnesses entanglement.
+PPT_TOL = 1e-10
 
 
 class MeasureKind(enum.Enum):
@@ -60,9 +64,9 @@ class SeparabilityVerdict:
         return self.status == "entangled"
 
 
-def negsum(eigenvalues: np.ndarray, threshold: float = NEG_EIG_THRESHOLD) -> float:
-    """Total magnitude of eigenvalues below ``-threshold``."""
-    w = eigenvalues[eigenvalues < -threshold]
+def negsum(eigenvalues: np.ndarray) -> float:
+    """Total magnitude of eigenvalues below ``-NEG_EIG_THRESHOLD``."""
+    w = eigenvalues[eigenvalues < -NEG_EIG_THRESHOLD]
     return float(-w.sum()) if w.size else 0.0
 
 
@@ -107,11 +111,7 @@ def pure_negativity_schmidt(psi: PureState, part: Bipartition) -> float:
 
 def tripartite_negativity(state) -> float:
     """Sum of the negativities across AB|C, BC|A and AC|B."""
-    rho = as_density(state)
-    if rho.n_subsystems != 3:
-        raise ValueError(
-            f"tripartite negativity needs exactly 3 subsystems, got dims {rho.dims}"
-        )
+    rho = as_tripartite(state)
     return sum(negativity(rho, cut) for cut in tripartite_cuts())
 
 
@@ -122,19 +122,10 @@ def squashed_pure_tripartite(state) -> float:
     input is rejected: the mixed-state optimization over extensions is
     out of scope here.
     """
-    rho = as_density(state)
-    if rho.n_subsystems != 3:
-        raise ValueError(
-            f"squashed entanglement here needs exactly 3 subsystems, got dims {rho.dims}"
-        )
-    purity = float(np.trace(rho.data @ rho.data).real)
-    if purity < 1.0 - 1e-10:
+    rho = as_tripartite(state)
+    if not is_pure(rho):
         raise ValueError("squashed global value undefined for mixed states")
-    total = 0.0
-    for i in range(3):
-        w = np.linalg.eigvalsh(partial_trace(rho, (i,)).data)
-        total += _entropy_bits(w)
-    return total / 2.0
+    return sum(von_neumann_entropy(partial_trace(rho, (i,))) for i in range(3)) / 2.0
 
 
 def post_value(measure, sigma) -> float:
@@ -152,17 +143,13 @@ def post_value(measure, sigma) -> float:
         raise ValueError(f"post-measurement states are bipartite, got dims {sigma.dims}")
     if measure is MeasureKind.NEGATIVITY:
         return 2.0 * negativity(sigma, Bipartition((0,), (1,)))
-    half_sum = 0.0
-    for i in (0, 1):
-        w = np.linalg.eigvalsh(partial_trace(sigma, (i,)).data)
-        half_sum += _entropy_bits(w)
-    return half_sum / 2.0
+    return sum(von_neumann_entropy(partial_trace(sigma, (i,))) for i in (0, 1)) / 2.0
 
 
-def ppt_verdict(state, part: Bipartition, tol: float = 1e-10) -> SeparabilityVerdict:
+def ppt_verdict(state, part: Bipartition) -> SeparabilityVerdict:
     """PPT test across one bipartition.
 
-    A negative witness below ``-tol`` certifies entanglement.  A
+    A negative witness below ``-PPT_TOL`` certifies entanglement.  A
     nonnegative spectrum certifies separability only where PPT is
     decisive (2x2 and 2x3 block dimensions); anywhere else the verdict
     stays ``ppt_inconclusive``, since PPT entangled states exist.
@@ -171,7 +158,7 @@ def ppt_verdict(state, part: Bipartition, tol: float = 1e-10) -> SeparabilityVer
     part.check_covers(rho.n_subsystems)
     w = np.linalg.eigvalsh(partial_transpose(rho, part))
     witness = float(w[0])
-    if witness < -tol:
+    if witness < -PPT_TOL:
         return SeparabilityVerdict("entangled", witness)
     if sorted(part.block_dims(rho.dims)) in ([2, 2], [2, 3]):
         return SeparabilityVerdict("separable", witness)

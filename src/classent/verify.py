@@ -16,23 +16,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import states
-from .certify import condition1_check, fixed_point_check, zero_discord_check
+from .certify import condition1_check, fixed_point_check, rank_report, zero_discord_check
 from .classicalize import DEFAULT_GRID, delta, ensemble_values, global_value, grid_tolerance
 from .matcore import (
     Bipartition,
     DensityMatrix,
     PureState,
     kron,
-    numeric_rank,
-    partial_trace,
     partial_transpose,
     tripartite_cuts,
 )
 from .measures import (
+    PPT_TOL,
     MeasureKind,
     negativity,
     post_value,
-    ppt_verdict,
     pure_negativity_schmidt,
     squashed_pure_tripartite,
     tripartite_negativity,
@@ -59,7 +57,7 @@ def _check(name: str, *suites: str):
 
     def register(body):
         @functools.wraps(body)
-        def run(seed=0, grid=DEFAULT_GRID, tol=1e-10) -> CheckResult:
+        def run(seed=0, grid=DEFAULT_GRID, tol=PPT_TOL) -> CheckResult:
             started = time.perf_counter()
             margin, detail, ok = body(seed, grid, tol)
             return CheckResult(
@@ -152,9 +150,10 @@ def _sandwich(sts, grid):
     gaps = np.array(gaps)
     lo, up, top = gaps.min(axis=0)
     hits = int((gaps.min(axis=1) + 1e-9 >= 0).sum())
+    inside = int((gaps[:, :2] > 1e-9).all(axis=1).sum())
     detail = (
-        f"{hits}/{len(gaps)} hold; worst delta-lo {lo:.2e}, up-delta {up:.2e}, "
-        f"global-up {top:.2e}"
+        f"{hits}/{len(gaps)} hold, {inside} with slack on both sides; "
+        f"worst delta-lo {lo:.2e}, up-delta {up:.2e}, global-up {top:.2e}"
     )
     return gaps.min() + 1e-9, detail, True
 
@@ -227,13 +226,12 @@ def check_upb_scan(seed, grid, tol):
 def check_tilde_complete_loss(seed, grid, tol):
     """Full certification of the rank-4 complete-loss state."""
     st = states.tilde_state()
-    pt_a = partial_transpose(st, Bipartition((1, 2), (0,)))
-    min_eig = float(np.linalg.eigvalsh(pt_a)[0])
+    ranks = rank_report(st)
+    min_eig = ranks.ppt["BC|A"].witness
     pt_c = partial_transpose(st, Bipartition((0, 1), (2,)))
     pt_c_exact = bool(np.array_equal(pt_c, st.data))
     swap = [b * 4 + a * 2 + c for a in range(2) for b in range(2) for c in range(2)]
     swap_exact = bool(np.array_equal(st.data[np.ix_(swap, swap)], st.data))
-    rank = numeric_rank(st, 1e-8)
     rep = condition1_check(st, grid, tol)
     n_grid = (grid[0] + 1) * (grid[1] + 1)
     res = delta(st, MeasureKind.NEGATIVITY, grid)
@@ -246,13 +244,13 @@ def check_tilde_complete_loss(seed, grid, tol):
     ok = (
         pt_c_exact
         and swap_exact
-        and rank == 4
+        and ranks.rank == 4
         and rep.passed
         and rep.directions_checked == n_grid
     )
     detail = (
         f"min PT_A eig {min_eig:.6f}, PT_C exact {pt_c_exact}, swap exact {swap_exact}, "
-        f"rank {rank}, scan {rep.status} on {rep.directions_checked}, "
+        f"rank {ranks.rank}, scan {rep.status} on {rep.directions_checked}, "
         f"delta vs total dev {loss_dev:.2e}"
     )
     return margin, detail, ok
@@ -261,31 +259,24 @@ def check_tilde_complete_loss(seed, grid, tol):
 @_check("zoo-ranks-ppt", "zoo")
 def check_zoo_ranks_ppt(seed, grid, tol):
     """Ranks (4, 7, 8, 5) for the PPT zoo, PPT on every bipartition."""
-    zoo = [
-        ("upb", states.upb_state(), 4),
-        ("adma:2,3,5", states.adma_state(2, 3, 5), 7),
-        ("ak:2.5", states.ak_state(2.5), 8),
-        ("ph:1", states.ph_state(1.0), 5),
-    ]
-    ok = True
-    worst = np.inf
-    ranks = []
-    for name, st, want in zoo:
-        rank = numeric_rank(st, 1e-8)
-        ranks.append(rank)
-        ok = ok and rank == want
-        for cut in tripartite_cuts():
-            worst = min(worst, ppt_verdict(st, cut).witness)
-    detail = f"ranks {tuple(ranks)}, worst witness {worst:.2e}"
-    return worst + 1e-10, detail, ok
+    zoo = (
+        states.upb_state(),
+        states.adma_state(2, 3, 5),
+        states.ak_state(2.5),
+        states.ph_state(1.0),
+    )
+    reps = [rank_report(st) for st in zoo]
+    ranks = tuple(rep.rank for rep in reps)
+    worst = min(v.witness for rep in reps for v in rep.ppt.values())
+    detail = f"ranks {ranks}, worst witness {worst:.2e}"
+    return worst + PPT_TOL, detail, ranks == (4, 7, 8, 5)
 
 
 @_check("hdk-cut-structure", "zoo")
 def check_hdk_cut_structure(seed, grid, tol):
     """One PPT cut, two NPT cuts, and a rank-4 pair marginal."""
-    st = states.hdk_state()
-    w = {cut.label(): ppt_verdict(st, cut).witness for cut in tripartite_cuts()}
-    rank_ab = numeric_rank(partial_trace(st, (0, 1)), 1e-8)
+    rep = rank_report(states.hdk_state())
+    w = {label: v.witness for label, v in rep.ppt.items()}
     margin = min(
         w["AB|C"] + 1e-12,
         -1e-4 - w["BC|A"],
@@ -293,19 +284,19 @@ def check_hdk_cut_structure(seed, grid, tol):
     )
     detail = (
         f"AB|C {w['AB|C']:.2e}, BC|A {w['BC|A']:.2e}, AC|B {w['AC|B']:.2e}, "
-        f"rank_ab {rank_ab}"
+        f"rank_ab {rep.rank_ab}"
     )
-    return margin, detail, rank_ab == 4
+    return margin, detail, rep.rank_ab == 4
 
 
 @_check("thermal-window", "zoo")
 def check_thermal_window(seed, grid, tol):
     """Hot ring PPT everywhere; cold ring clearly NPT."""
-    hot = states.heisenberg_thermal(5.0)
-    cold = states.heisenberg_thermal(1.0)
-    hot_worst = min(ppt_verdict(hot, cut).witness for cut in tripartite_cuts())
-    cold_worst = min(ppt_verdict(cold, cut).witness for cut in tripartite_cuts())
-    margin = min(hot_worst + 1e-10, -1e-3 - cold_worst)
+    hot_worst, cold_worst = (
+        min(v.witness for v in rank_report(states.heisenberg_thermal(t)).ppt.values())
+        for t in (5.0, 1.0)
+    )
+    margin = min(hot_worst + PPT_TOL, -1e-3 - cold_worst)
     return margin, f"T=5 worst {hot_worst:.2e}, T=1 worst {cold_worst:.2e}", True
 
 
@@ -344,7 +335,7 @@ def check_squashed_pure(seed, grid, tol):
 SUITES = tuple(dict.fromkeys(s for _, suites in CHECKS.values() for s in suites)) + ("all",)
 
 
-def run_suite(suite: str, seed: int = 0, grid=DEFAULT_GRID, tol: float = 1e-10):
+def run_suite(suite: str, seed: int = 0, grid=DEFAULT_GRID, tol: float = PPT_TOL):
     """Run one named suite of the battery; "all" runs every check."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")

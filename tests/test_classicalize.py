@@ -7,9 +7,9 @@ from hypothesis import strategies as hst
 
 from classent import states
 from classent.classicalize import (
-    DEFAULT_GRID,
     MeasurementDirection,
     _direction_at,
+    _grid_outcomes,
     classicalize,
     delta,
     direction_kets,
@@ -78,6 +78,26 @@ class TestClassicalize:
             for o in outs:
                 if not o.negligible:
                     assert o.post.dims == (2, 2)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        dims=hst.sampled_from([(2, 2, 2), (2, 2, 3)]),
+        pure=hst.booleans(),
+    )
+    def test_probabilities_sum_to_one_and_match_the_grid(self, seed, dims, pure):
+        # the scalar channel and the grid pass weigh every direction alike
+        rng = np.random.default_rng(seed)
+        if pure:
+            rho = states.random_pure_state(dims, rng).projector()
+        else:
+            rho = states.random_density_matrix(dims, rng)
+        grid = (4, 2)
+        probs = _grid_outcomes(rho, MeasureKind.NEGATIVITY, grid, complement=False)[0]
+        for flat, p in enumerate(probs):
+            outs = classicalize(rho, _direction_at(dims[2], grid, flat))
+            assert abs(sum(o.prob for o in outs) - 1.0) <= 1e-12
+            assert abs(outs[0].prob - p) <= 1e-12
 
     def test_projective_direction_on_product_state(self):
         rng = np.random.default_rng(1)

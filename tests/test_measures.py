@@ -58,7 +58,6 @@ def test_as_measure_accepts_both_forms():
 def test_negsum_threshold():
     eigs = np.array([-0.2, -1e-14, 0.5, 0.7])
     assert negsum(eigs) == pytest.approx(0.2, abs=1e-12)
-    assert negsum(eigs, threshold=0.3) == pytest.approx(0.0)
 
 
 def test_bell_negativity_half():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from classent import states
-from classent.matcore import DensityMatrix, PureState, kron, numeric_rank, partial_trace
+from classent.matcore import numeric_rank, partial_trace
 
 
 def test_ghz_amplitudes():
