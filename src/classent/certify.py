@@ -27,12 +27,14 @@ from .classicalize import (
     DEFAULT_GRID,
     ZERO_PROB,
     MeasurementDirection,
+    _check_grid,
     _contract,
     _direction_at,
-    _pt_spectrum,
+    _first_outcomes,
     c_blocks,
     direction_kets,
 )
+from .matcore import _partial_transpose_array
 from .matcore import as_tripartite, is_pure, numeric_rank, partial_trace, tripartite_cuts
 from .measures import PPT_TOL, SeparabilityVerdict, ppt_verdict
 
@@ -68,29 +70,29 @@ class Condition1Report:
         return self.status == "pass"
 
 
-def condition1_check(state, grid=DEFAULT_GRID, tol: float = PPT_TOL) -> Condition1Report:
+def condition1_check(state, grid=DEFAULT_GRID) -> Condition1Report:
     """Scan every grid direction |x> on C for a separable post state.
 
     The normalized post state sigma_|x> = <x|rho|x> / p_x must be PPT
     for every direction; with qubit A and B the PPT criterion is
     decisive, so a full pass certifies complete entanglement loss.
     Directions with p_x below the zero-probability threshold are
-    skipped.
+    skipped, and a normalized partial-transpose eigenvalue below
+    ``-PPT_TOL`` fails the scan.
     """
     rho = as_tripartite(state)
     if rho.dims[:2] != (2, 2):
         raise ValueError(
             f"PPT not decisive for dims {rho.dims}; the scan needs qubit A and B"
         )
-    kets = direction_kets(rho.dims[2], grid)
-    k0 = _contract(c_blocks(rho), kets.conj(), kets)
+    k0 = _first_outcomes(rho, grid)
     probs = np.trace(k0, axis1=1, axis2=2).real
     mask = probs > ZERO_PROB
-    min_eigs = _pt_spectrum(k0, (2, 2))[:, 0]
+    min_eigs = np.linalg.eigvalsh(_partial_transpose_array(k0, (2, 2), (0,)))[:, 0]
     witnesses = np.where(mask, min_eigs / np.where(mask, probs, 1.0), np.inf)
     skipped = int((~mask).sum())
     checked = int(mask.sum())
-    failing = np.nonzero(witnesses < -tol)[0]
+    failing = np.nonzero(witnesses < -PPT_TOL)[0]
     if failing.size:
         first = int(failing[0])
         return Condition1Report(
@@ -232,10 +234,12 @@ def certify_state(state, grid=DEFAULT_GRID) -> CertReport:
     """Run every certification check that applies to the state.
 
     The separability scan is skipped (with a reason) when A or B is not
-    a qubit; the discord basis, when one is found, feeds the
+    a qubit or C is not a qubit or qutrit; an invalid grid raises
+    ValueError.  The discord basis, when one is found, feeds the
     fixed-point residual.
     """
     rho = as_tripartite(state)
+    grid = _check_grid(grid)
     condition1 = None
     skipped = None
     try:

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import EIG_CUTOFF, DensityMatrix, as_tripartite, partial_trace
+from .matcore import _partial_trace_array, _partial_transpose_array
 from .measures import (
     MeasureKind,
     NEG_EIG_THRESHOLD,
@@ -68,14 +69,7 @@ class MeasurementDirection:
     dim: int
 
     def ket(self) -> np.ndarray:
-        if self.dim == 2:
-            x, t = self.angles
-            return np.array([np.cos(x), np.exp(-1j * t) * np.sin(x)])
-        x1, x2 = self.angles
-        return np.array(
-            [np.cos(x1), np.sin(x1) * np.cos(x2), np.sin(x1) * np.sin(x2)],
-            dtype=complex,
-        )
+        return _kets(self.dim, *self.angles)
 
     def angle_dict(self) -> dict[str, float]:
         keys = ("x", "t") if self.dim == 2 else ("x1", "x2")
@@ -145,15 +139,18 @@ def direction_kets(dim_c: int, grid=DEFAULT_GRID) -> np.ndarray:
     first = np.pi * np.arange(nx + 1) / nx
     second = np.pi * np.arange(nt + 1) / nt
     a, b = np.meshgrid(first, second, indexing="ij")
+    return _kets(dim_c, a, b).reshape(-1, dim_c)
+
+
+def _kets(dim_c: int, a, b) -> np.ndarray:
+    """Kets at angles (a, b), scalars or arrays, stacked along a new last axis."""
     if dim_c == 2:
-        kets = np.stack([np.cos(a), np.exp(-1j * b) * np.sin(a)], axis=-1)
-    elif dim_c == 3:
-        kets = np.stack(
+        return np.stack([np.cos(a), np.exp(-1j * b) * np.sin(a)], axis=-1)
+    if dim_c == 3:
+        return np.stack(
             [np.cos(a), np.sin(a) * np.cos(b), np.sin(a) * np.sin(b)], axis=-1
         ).astype(complex)
-    else:
-        raise ValueError(f"measurement grids cover C of dimension 2 or 3, got {dim_c}")
-    return kets.reshape(-1, dim_c)
+    raise ValueError(f"measurement grids cover C of dimension 2 or 3, got {dim_c}")
 
 
 def _direction_at(dim_c: int, grid, flat: int) -> MeasurementDirection:
@@ -206,12 +203,11 @@ def _contract(blocks: np.ndarray, bras: np.ndarray, kets: np.ndarray) -> np.ndar
     return np.einsum("nc,cdab,nd->nab", bras, blocks, kets, optimize=True)
 
 
-def _pt_spectrum(k: np.ndarray, dims_ab) -> np.ndarray:
-    """Ascending partial-transpose spectrum of each stacked block, (N, dAB)."""
-    da, db = dims_ab
-    n = k.shape[0]
-    kt = k.reshape(n, da, db, da, db).transpose(0, 3, 2, 1, 4).reshape(n, da * db, da * db)
-    return np.linalg.eigvalsh(kt)
+def _first_outcomes(rho: DensityMatrix, grid) -> np.ndarray:
+    """Stacked first-outcome blocks <v_n|_C rho |v_n>_C = p_n sigma_n,
+    (N, dAB, dAB), over the grid directions in flat grid order."""
+    kets = direction_kets(rho.dims[2], grid)
+    return _contract(c_blocks(rho), kets.conj(), kets)
 
 
 def _weighted_values(k: np.ndarray, measure: MeasureKind, dims_ab, probs=None) -> np.ndarray:
@@ -219,18 +215,15 @@ def _weighted_values(k: np.ndarray, measure: MeasureKind, dims_ab, probs=None) -
     if measure is MeasureKind.NEGATIVITY:
         # Negativity scales linearly, so the weight p never needs to be
         # divided out: p * 2 N(sigma) = 2 N(<v|rho|v>).
-        w = _pt_spectrum(k, dims_ab)
+        w = np.linalg.eigvalsh(_partial_transpose_array(k, dims_ab, (0,)))
         return 2.0 * -np.where(w < -NEG_EIG_THRESHOLD, w, 0.0).sum(axis=1)
     # p (S(A) + S(B)) / 2 of the normalized marginals; zero where negligible
-    da, db = dims_ab
-    n = k.shape[0]
-    t = k.reshape(n, da, db, da, db)
     if probs is None:
         probs = np.trace(k, axis1=1, axis2=2).real
     safe = np.where(probs > ZERO_PROB, probs, 1.0)
-    out = np.zeros(n)
-    for marg in (np.einsum("nabcb->nac", t), np.einsum("nabad->nbd", t)):
-        w = np.linalg.eigvalsh(marg) / safe[:, None]
+    out = np.zeros(k.shape[0])
+    for keep in ((0,), (1,)):
+        w = np.linalg.eigvalsh(_partial_trace_array(k, dims_ab, keep)) / safe[:, None]
         logs = np.log2(w, out=np.zeros_like(w), where=w > EIG_CUTOFF)
         out += -(np.where(w > EIG_CUTOFF, w, 0.0) * logs).sum(axis=1)
     return probs * np.where(probs > ZERO_PROB, out / 2.0, 0.0)
@@ -245,16 +238,14 @@ def _grid_outcomes(rho: DensityMatrix, measure: MeasureKind, grid, probs=True, c
     probabilities or the ensemble values are skipped and returned as None.
     """
     dims_ab = rho.dims[:2]
-    blocks = c_blocks(rho)
-    kets = direction_kets(rho.dims[2], grid)
-    k = _contract(blocks, kets.conj(), kets)
+    k = _first_outcomes(rho, grid)
     p = np.trace(k, axis1=1, axis2=2).real if probs else None
     first = _weighted_values(k, measure, dims_ab, p)
     if not complement:
         return p, first, None
     # The complement block rho_AB - <v|rho|v> overwrites the first one,
     # so the pass never holds a second (N, dAB, dAB) stack.
-    np.subtract(np.einsum("ccab->ab", blocks), k, out=k)
+    np.subtract(_partial_trace_array(rho.data, rho.dims, (0, 1)), k, out=k)
     return p, first, first + _weighted_values(k, measure, dims_ab)
 
 

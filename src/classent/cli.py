@@ -29,7 +29,7 @@ from .matcore import (
     tripartite_cuts,
     von_neumann_entropy,
 )
-from .measures import PPT_TOL, MeasureKind, negativity
+from .measures import MeasureKind, negativity
 from .verify import SUITES, run_suite
 
 # Families whose single real parameter can be swept from the CLI.
@@ -193,7 +193,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     grid = _parse_grid(args.grid)
-    results = run_suite(args.suite, seed=args.seed, grid=grid, tol=args.tol)
+    results = run_suite(args.suite, seed=args.seed, grid=grid)
     passed = all(r.passed for r in results)
     payload = {
         "suite": args.suite,
@@ -265,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", nargs="?", default="all", choices=list(SUITES))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid", default=_DEFAULT_GRID_FLAG, metavar="NX,NT")
-    p.add_argument("--tol", type=float, default=PPT_TOL)
     p.add_argument("--format", choices=["json", "plain"], default="plain")
     p.add_argument("--output", metavar="PATH")
     p.set_defaults(func=cmd_verify)

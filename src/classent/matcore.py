@@ -226,19 +226,20 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 
 
 def _partial_trace_array(mat: np.ndarray, dims, keep) -> np.ndarray:
-    """Partial trace on a raw matrix; no validation of the result."""
+    """Partial trace of a raw matrix or a leading-axes stack; no validation."""
     dims = tuple(dims)
     n = len(dims)
     keep = tuple(keep)
-    t = mat.reshape(dims + dims)
+    lead = mat.shape[:-2]
+    t = mat.reshape(lead + dims + dims)
     # Row axis i carries label i; traced column axes reuse it so einsum
     # contracts them, kept column axes get the shifted label n + i.
     row = list(range(n))
     col = [n + i if i in keep else i for i in range(n)]
     out = [i for i in keep] + [n + i for i in keep]
-    reduced = np.einsum(t, row + col, out)
+    reduced = np.einsum(t, [Ellipsis] + row + col, [Ellipsis] + out)
     side = int(np.prod([dims[i] for i in keep]))
-    return reduced.reshape(side, side)
+    return reduced.reshape(lead + (side, side))
 
 
 def partial_transpose(rho: DensityMatrix, part: Bipartition) -> np.ndarray:
@@ -252,14 +253,17 @@ def partial_transpose(rho: DensityMatrix, part: Bipartition) -> np.ndarray:
 
 
 def _partial_transpose_array(mat: np.ndarray, dims, right) -> np.ndarray:
+    """Partial transpose of a raw matrix or a leading-axes stack, as a copy."""
     dims = tuple(dims)
     n = len(dims)
-    t = mat.reshape(dims + dims)
-    axes = list(range(2 * n))
+    lead = mat.shape[:-2]
+    m = len(lead)
+    t = mat.reshape(lead + dims + dims)
+    axes = list(range(m + 2 * n))
     for i in right:
-        axes[i], axes[n + i] = axes[n + i], axes[i]
-    side = mat.shape[0]
-    return t.transpose(axes).reshape(side, side).copy()
+        axes[m + i], axes[m + n + i] = axes[m + n + i], axes[m + i]
+    # the swapped axes leave a non-contiguous view, so this reshape copies
+    return t.transpose(axes).reshape(mat.shape)
 
 
 def von_neumann_entropy(rho) -> float:

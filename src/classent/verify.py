@@ -53,13 +53,13 @@ CHECKS: dict = {}
 
 
 def _check(name: str, *suites: str):
-    """Register a check body ``(seed, grid, tol) -> (margin, detail, ok)``."""
+    """Register a check body ``(seed, grid) -> (margin, detail, ok)``."""
 
     def register(body):
         @functools.wraps(body)
-        def run(seed=0, grid=DEFAULT_GRID, tol=PPT_TOL) -> CheckResult:
+        def run(seed=0, grid=DEFAULT_GRID) -> CheckResult:
             started = time.perf_counter()
-            margin, detail, ok = body(seed, grid, tol)
+            margin, detail, ok = body(seed, grid)
             return CheckResult(
                 name, bool(ok and margin >= 0), float(margin),
                 time.perf_counter() - started, detail,
@@ -72,7 +72,7 @@ def _check(name: str, *suites: str):
 
 
 @_check("bells-locking")
-def check_bells_locking(seed, grid, tol):
+def check_bells_locking(seed, grid):
     """delta of n Bell pairs is 2^(n-2) + 1/2, independent of direction."""
     margins, notes, ok = [], [], True
     for n, want, budget in ((2, 1.5, 30.0), (3, 2.5, 120.0)):
@@ -90,7 +90,7 @@ def check_bells_locking(seed, grid, tol):
 
 
 @_check("pair-saturation")
-def check_pair_saturation(seed, grid, tol):
+def check_pair_saturation(seed, grid):
     """Maximally entangled pair negativity reaches (d-1)/2."""
     devs = []
     for d in range(2, 6):
@@ -103,7 +103,7 @@ def check_pair_saturation(seed, grid, tol):
 
 
 @_check("qutrit-values")
-def check_qutrit_values(seed, grid, tol):
+def check_qutrit_values(seed, grid):
     """Qutrit-C benchmark deltas for both measures."""
     devs, notes, ok = [], [], True
     for name, want_neg, want_sq in (("ghz3", 1.667, 0.792489), ("sym3", 1.86747, 0.971332)):
@@ -119,7 +119,7 @@ def check_qutrit_values(seed, grid, tol):
 
 
 @_check("superposition-sweep")
-def check_superposition_sweep(seed, grid, tol):
+def check_superposition_sweep(seed, grid):
     """Sweeping the GHZ/W superposition: minimum near p=0.4, maximum at p=0."""
     ps = np.linspace(0.0, 1.0, 21)
     margins, notes = [], []
@@ -159,7 +159,7 @@ def _sandwich(sts, grid):
 
 
 @_check("sandwich-sweeps", "bounds")
-def check_sandwich_sweeps(seed, grid, tol):
+def check_sandwich_sweeps(seed, grid):
     """lower <= delta <= upper <= global along both benchmark sweeps."""
     return _sandwich(
         (
@@ -172,14 +172,14 @@ def check_sandwich_sweeps(seed, grid, tol):
 
 
 @_check("sandwich-random", "bounds")
-def check_sandwich_random(seed, grid, tol):
+def check_sandwich_random(seed, grid):
     """The same chain on 200 seeded random three-qubit mixed states."""
     rng = np.random.default_rng(seed)
     return _sandwich((states.random_density_matrix((2, 2, 2), rng) for _ in range(200)), grid)
 
 
 @_check("flower-lock")
-def check_flower_lock(seed, grid, tol):
+def check_flower_lock(seed, grid):
     """Flower states lose nothing despite entanglement across AB|C."""
     margins, ok, notes = [], True, []
     for d in (2, 3):
@@ -195,35 +195,35 @@ def check_flower_lock(seed, grid, tol):
 
 
 @_check("tilde-scan", "condition1")
-def check_tilde_scan(seed, grid, tol):
+def check_tilde_scan(seed, grid):
     """Every direction leaves the rank-4 PPT-invariant state separable."""
-    rep = condition1_check(states.tilde_state(), grid, tol)
+    rep = condition1_check(states.tilde_state(), grid)
     detail = f"{rep.status} on {rep.directions_checked} directions, worst {rep.witness:.2e}"
-    return rep.witness + tol, detail, rep.passed
+    return rep.witness + PPT_TOL, detail, rep.passed
 
 
 @_check("ghz-scan-rejects", "condition1")
-def check_ghz_scan_rejects(seed, grid, tol):
+def check_ghz_scan_rejects(seed, grid):
     """The scan must catch GHZ: some direction leaves an NPT pair."""
-    rep = condition1_check(states.ghz_state(), grid, tol)
+    rep = condition1_check(states.ghz_state(), grid)
     ok = rep.status == "fail" and rep.direction is not None
     angles = rep.direction.angle_dict() if rep.direction is not None else {}
     detail = f"{rep.status}, witness {rep.witness:.3f} at " + " ".join(
         f"{k}={v:.4f}" for k, v in angles.items()
     )
-    return -rep.witness - tol, detail, ok
+    return -rep.witness - PPT_TOL, detail, ok
 
 
 @_check("upb-scan", "condition1")
-def check_upb_scan(seed, grid, tol):
+def check_upb_scan(seed, grid):
     """The unextendible-product-basis state passes the full scan."""
-    rep = condition1_check(states.upb_state(), grid, tol)
+    rep = condition1_check(states.upb_state(), grid)
     detail = f"{rep.status} on {rep.directions_checked} directions, worst {rep.witness:.2e}"
-    return rep.witness + tol, detail, rep.passed
+    return rep.witness + PPT_TOL, detail, rep.passed
 
 
 @_check("tilde-complete-loss", "zoo")
-def check_tilde_complete_loss(seed, grid, tol):
+def check_tilde_complete_loss(seed, grid):
     """Full certification of the rank-4 complete-loss state."""
     st = states.tilde_state()
     ranks = rank_report(st)
@@ -232,13 +232,13 @@ def check_tilde_complete_loss(seed, grid, tol):
     pt_c_exact = bool(np.array_equal(pt_c, st.data))
     swap = [b * 4 + a * 2 + c for a in range(2) for b in range(2) for c in range(2)]
     swap_exact = bool(np.array_equal(st.data[np.ix_(swap, swap)], st.data))
-    rep = condition1_check(st, grid, tol)
+    rep = condition1_check(st, grid)
     n_grid = (grid[0] + 1) * (grid[1] + 1)
     res = delta(st, MeasureKind.NEGATIVITY, grid)
     loss_dev = abs(res.delta - res.global_value)
     margin = min(
         1e-9 - abs(min_eig + 0.125),
-        rep.witness + tol,
+        rep.witness + PPT_TOL,
         2 * grid_tolerance(grid) - loss_dev,
     )
     ok = (
@@ -257,7 +257,7 @@ def check_tilde_complete_loss(seed, grid, tol):
 
 
 @_check("zoo-ranks-ppt", "zoo")
-def check_zoo_ranks_ppt(seed, grid, tol):
+def check_zoo_ranks_ppt(seed, grid):
     """Ranks (4, 7, 8, 5) for the PPT zoo, PPT on every bipartition."""
     zoo = (
         states.upb_state(),
@@ -273,7 +273,7 @@ def check_zoo_ranks_ppt(seed, grid, tol):
 
 
 @_check("hdk-cut-structure", "zoo")
-def check_hdk_cut_structure(seed, grid, tol):
+def check_hdk_cut_structure(seed, grid):
     """One PPT cut, two NPT cuts, and a rank-4 pair marginal."""
     rep = rank_report(states.hdk_state())
     w = {label: v.witness for label, v in rep.ppt.items()}
@@ -290,7 +290,7 @@ def check_hdk_cut_structure(seed, grid, tol):
 
 
 @_check("thermal-window", "zoo")
-def check_thermal_window(seed, grid, tol):
+def check_thermal_window(seed, grid):
     """Hot ring PPT everywhere; cold ring clearly NPT."""
     hot_worst, cold_worst = (
         min(v.witness for v in rank_report(states.heisenberg_thermal(t)).ppt.values())
@@ -301,7 +301,7 @@ def check_thermal_window(seed, grid, tol):
 
 
 @_check("oracle-agreement")
-def check_oracle_agreement(seed, grid, tol):
+def check_oracle_agreement(seed, grid):
     """Schmidt and eigenvalue negativity routes agree; so do the
     two-qubit reduction and the direct tripartite value."""
     rng = np.random.default_rng(seed)
@@ -323,7 +323,7 @@ def check_oracle_agreement(seed, grid, tol):
 
 
 @_check("squashed-pure")
-def check_squashed_pure(seed, grid, tol):
+def check_squashed_pure(seed, grid):
     """Closed-form squashed values for GHZ and W."""
     dev_ghz = abs(squashed_pure_tripartite(states.ghz_state()) - 1.5)
     want_w = 1.5 * (np.log2(3.0) - 2.0 / 3.0)
@@ -335,12 +335,12 @@ def check_squashed_pure(seed, grid, tol):
 SUITES = tuple(dict.fromkeys(s for _, suites in CHECKS.values() for s in suites)) + ("all",)
 
 
-def run_suite(suite: str, seed: int = 0, grid=DEFAULT_GRID, tol: float = PPT_TOL):
+def run_suite(suite: str, seed: int = 0, grid=DEFAULT_GRID):
     """Run one named suite of the battery; "all" runs every check."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     return [
-        run(seed=seed, grid=grid, tol=tol)
+        run(seed=seed, grid=grid)
         for run, suites in CHECKS.values()
         if suite == "all" or suite in suites
     ]

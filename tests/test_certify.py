@@ -120,6 +120,14 @@ class TestZeroDiscord:
         rep = zero_discord_check(states.tilde_state(), GRID)
         assert rep.status == "undecided"
 
+    def test_degenerate_qutrit_c_stays_undecided(self):
+        # each C level carries an orthogonal AB state, so rho_C = 1/3 while
+        # no basis of C removes the coherences; the basis search is qubit-only
+        phi = np.zeros(12, dtype=complex)
+        phi[[0, 4, 8]] = 1 / np.sqrt(3)
+        rho = DensityMatrix(0.5 * np.outer(phi, phi.conj()) + 0.5 * np.eye(12) / 12, (2, 2, 3))
+        assert zero_discord_check(rho, GRID).status == "undecided"
+
     def test_mixture_of_ghz_w_is_not_classical(self):
         rep = zero_discord_check(states.ghz_w_mixture(0.5), GRID)
         assert rep.status == "no"
@@ -229,6 +237,15 @@ class TestCertifyState:
         assert "PPT not decisive" in rep.condition1_skipped
         assert rep.zero_discord.status == "yes"
         assert rep.fixed_point_residual <= 1e-10
+
+    def test_scan_skipped_for_four_level_c(self):
+        rep = certify_state(DensityMatrix(np.eye(16) / 16, (2, 2, 4)), GRID)
+        assert rep.condition1 is None
+        assert "dimension 2 or 3" in rep.condition1_skipped
+
+    def test_invalid_grid_raises(self):
+        with pytest.raises(ValueError, match="grid resolution must be positive"):
+            certify_state(states.flower_state(2), (0, 5))
 
     def test_discord_basis_feeds_fixed_point(self):
         rep = certify_state(states.flower_state(2), GRID)

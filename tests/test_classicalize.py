@@ -110,6 +110,10 @@ class TestClassicalize:
         assert outs[1].negligible
         np.testing.assert_allclose(outs[0].post.data, sigma.data, atol=1e-10)
 
+    def test_rejects_direction_for_another_c(self):
+        with pytest.raises(ValueError, match="direction is for a 3-level C"):
+            classicalize(states.ghz_state(), _direction_at(3, GRID, 0))
+
     def test_ensemble_matches_stacked_values(self):
         # the vectorized sweep and the single-direction channel must agree
         rng = np.random.default_rng(2)

@@ -156,6 +156,29 @@ class TestSweep:
         assert cell == "1.41421356237"
         assert "," not in cell.replace(",", "")  # '.' decimal separator only
 
+    def test_default_range(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--state", "psi", "--grid", "4,2")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 22
+        assert [line.split(",")[0] for line in (lines[1], lines[11], lines[-1])] == [
+            "0", "0.5", "1",
+        ]
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--state", "psi:0.3"), "bare family name"),
+            (("--state", "psi", "--grid", "3,x"), "--grid wants two integers"),
+            (("--state", "psi", "--range", "0,1"), "--range wants A,B,N"),
+            (("--state", "psi", "--range", "a,b,3"), "--range wants two floats and an integer"),
+        ],
+    )
+    def test_malformed_flags(self, capsys, flags, message):
+        code, _, err = run(capsys, "sweep", *flags)
+        assert code == 2
+        assert message in err
+
     def test_parametrized_family_needs_range(self, capsys):
         code, _, err = run(capsys, "sweep", "--state", "ak")
         assert code == 2
@@ -235,9 +258,10 @@ class TestVerify:
         for c in payload["checks"]:
             assert "margin" in c and "seconds" in c
 
-    def test_failing_check_names_itself(self, capsys):
-        # an absurdly tight tolerance turns eigensolver noise into failure
-        code, out, _ = run(capsys, "verify", "condition1", "--tol", "1e-20")
+    def test_failing_check_names_itself(self, capsys, monkeypatch):
+        # GHZ leaves an NPT pair behind, so the scan that expects tilde fails
+        monkeypatch.setattr(states, "tilde_state", states.ghz_state)
+        code, out, _ = run(capsys, "verify", "condition1")
         assert code == 1
         assert "FAIL tilde-scan" in out
 

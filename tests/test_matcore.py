@@ -195,6 +195,24 @@ class TestPartialTranspose:
         assert eigs.min() > -1e-12
 
 
+class TestStacks:
+    @pytest.mark.parametrize("dims", [(2, 3), (2, 2, 2)])
+    def test_stack_matches_each_matrix(self, dims):
+        from itertools import combinations
+
+        from classent.matcore import _partial_trace_array, _partial_transpose_array
+
+        rng = np.random.default_rng(11)
+        side = int(np.prod(dims))
+        stack = rng.normal(size=(3, 2, side, side)) + 1j * rng.normal(size=(3, 2, side, side))
+        subsets = [s for r in range(1, len(dims) + 1) for s in combinations(range(len(dims)), r)]
+        for fn in (_partial_trace_array, _partial_transpose_array):
+            for sub in subsets:
+                out = fn(stack, dims, sub)
+                for idx in np.ndindex(stack.shape[:2]):
+                    assert np.array_equal(out[idx], fn(stack[idx], dims, sub))
+
+
 class TestSpectral:
     def test_entropy_pure_is_zero(self):
         psi = PureState(np.array([1.0, 0.0, 0.0, 0.0]), (2, 2))
