@@ -38,13 +38,9 @@ from .matcore import (
     PureState,
     as_density,
     kron,
-    load_matrix_csv,
-    load_matrix_json,
     numeric_rank,
     partial_trace,
     partial_transpose,
-    save_matrix_csv,
-    save_matrix_json,
     tripartite_cuts,
     von_neumann_entropy,
 )
@@ -58,7 +54,7 @@ from .measures import (
     squashed_pure_tripartite,
     tripartite_negativity,
 )
-from .states import parse_state_spec, state_families
+from .states import parse_state_spec
 
 __version__ = "0.1.0"
 
@@ -86,8 +82,6 @@ __all__ = [
     "global_value",
     "grid_tolerance",
     "kron",
-    "load_matrix_csv",
-    "load_matrix_json",
     "lower_bound",
     "negativity",
     "numeric_rank",
@@ -98,10 +92,7 @@ __all__ = [
     "ppt_verdict",
     "pure_negativity_schmidt",
     "rank_report",
-    "save_matrix_csv",
-    "save_matrix_json",
     "squashed_pure_tripartite",
-    "state_families",
     "tripartite_cuts",
     "tripartite_negativity",
     "upper_bound",

@@ -81,13 +81,16 @@ class MeasurementOutcome:
     """One branch of a classicalized state.
 
     ``post`` is None exactly when the outcome probability is below the
-    zero-probability threshold and ``negligible`` is set.
+    zero-probability threshold.
     """
 
     label: int
     prob: float
     post: DensityMatrix | None
-    negligible: bool = False
+
+    @property
+    def negligible(self) -> bool:
+        return self.post is None
 
 
 @dataclass(frozen=True)
@@ -187,7 +190,7 @@ def classicalize(state, direction: MeasurementDirection) -> list[MeasurementOutc
     for label, k in ((0, k0), (1, k1)):
         p = float(np.trace(k).real)
         if p < ZERO_PROB:
-            outcomes.append(MeasurementOutcome(label, max(p, 0.0), None, True))
+            outcomes.append(MeasurementOutcome(label, max(p, 0.0), None))
         else:
             outcomes.append(MeasurementOutcome(label, p, DensityMatrix(k / p, (da, db))))
     return outcomes

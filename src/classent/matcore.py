@@ -11,7 +11,6 @@ All entropies are in bits (log base 2).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -287,7 +286,7 @@ def numeric_rank(rho, tol: float = EIG_CUTOFF) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Matrix serialization.
+# Matrix writers of ``classent dump``.
 #
 # JSON: array of rows, each entry a [re, im] pair.  CSV: one line per row,
 # entries "re+imi" with repr-exact floats.  Both round-trip bit for bit.
@@ -299,23 +298,9 @@ def matrix_to_jsonable(m) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
 
 
-def matrix_from_jsonable(obj) -> np.ndarray:
-    rows = [[complex(re, im) for re, im in row] for row in obj]
-    return np.array(rows, dtype=complex)
-
-
-def save_matrix_json(m, path):
-    with open(path, "w") as fh:
-        json.dump(matrix_to_jsonable(m), fh)
-
-
-def load_matrix_json(path) -> np.ndarray:
-    with open(path) as fh:
-        return matrix_from_jsonable(json.load(fh))
-
-
 def _entry_to_csv(z: complex) -> str:
-    sign = "-" if z.imag < 0 else "+"
+    # signbit keeps an imaginary -0.0 apart from +0.0
+    sign = "-" if np.signbit(z.imag) else "+"
     # repr of a Python float round-trips exactly
     return f"{float(z.real)!r}{sign}{abs(float(z.imag))!r}i"
 
@@ -323,20 +308,3 @@ def _entry_to_csv(z: complex) -> str:
 def matrix_to_csv(m) -> str:
     mat = _as_array(m)
     return "\n".join(",".join(_entry_to_csv(z) for z in row) for row in mat) + "\n"
-
-
-def matrix_from_csv(text: str) -> np.ndarray:
-    rows = []
-    for line in text.strip().splitlines():
-        rows.append([complex(cell.strip().replace("i", "j")) for cell in line.split(",")])
-    return np.array(rows, dtype=complex)
-
-
-def save_matrix_csv(m, path):
-    with open(path, "w") as fh:
-        fh.write(matrix_to_csv(m))
-
-
-def load_matrix_csv(path) -> np.ndarray:
-    with open(path) as fh:
-        return matrix_from_csv(fh.read())

@@ -99,7 +99,6 @@ def pure_negativity_schmidt(psi: PureState, part: Bipartition) -> float:
     if not isinstance(psi, PureState):
         raise TypeError("pure_negativity_schmidt needs a PureState")
     part.check_covers(len(psi.dims))
-    n = len(psi.dims)
     tensor = psi.amp.reshape(psi.dims)
     perm = list(part.left) + list(part.right)
     d_left = int(np.prod([psi.dims[i] for i in part.left]))

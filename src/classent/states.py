@@ -290,12 +290,11 @@ def random_pure_state(dims, rng: np.random.Generator) -> PureState:
     return PureState(vec / np.linalg.norm(vec), dims)
 
 
-def random_density_matrix(dims, rng: np.random.Generator, rank: int | None = None) -> DensityMatrix:
-    """Random mixed state G G^dag / tr(G G^dag) with Gaussian G."""
+def random_density_matrix(dims, rng: np.random.Generator) -> DensityMatrix:
+    """Random full-rank mixed state G G^dag / tr(G G^dag), G square Gaussian."""
     dims = tuple(int(d) for d in dims)
     size = int(np.prod(dims))
-    k = size if rank is None else int(rank)
-    g = rng.standard_normal((size, k)) + 1j * rng.standard_normal((size, k))
+    g = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
     mat = g @ g.conj().T
     return DensityMatrix(mat / np.trace(mat).real, dims)
 
@@ -324,11 +323,6 @@ _FAMILIES = {
 }
 
 _INT_PARAMS = {"bells", "flower"}
-
-
-def state_families() -> tuple[str, ...]:
-    """Names accepted by :func:`parse_state_spec`."""
-    return tuple(_FAMILIES)
 
 
 def one_parameter_families() -> tuple[str, ...]:
@@ -362,7 +356,7 @@ def parse_state_spec(text: str):
         except ValueError as exc:
             raise ValueError(f"malformed parameter in {text!r}") from exc
         if name in _INT_PARAMS:
-            if any(p != int(p) for p in params):
+            if not all(p.is_integer() for p in params):
                 raise ValueError(f"family {name!r} takes integer parameters, got {tail!r}")
             params = tuple(int(p) for p in params)
     elif defaults is None:

@@ -7,7 +7,7 @@ import pytest
 
 from classent import states
 from classent.cli import main
-from classent.matcore import load_matrix_csv, load_matrix_json
+from classent.matcore import matrix_to_csv
 from classent.verify import run_suite
 
 
@@ -15,6 +15,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def from_json(text):
+    return np.array([[complex(re, im) for re, im in row] for row in json.loads(text)])
+
+
+def from_csv(text):
+    return np.array(
+        [[complex(cell.replace("i", "j")) for cell in line.split(",")]
+         for line in text.splitlines()]
+    )
 
 
 class TestUsageErrors:
@@ -168,14 +179,18 @@ class TestSweep:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (("--state", "psi:0.3"), "bare family name"),
-            (("--state", "psi", "--grid", "3,x"), "--grid wants two integers"),
-            (("--state", "psi", "--range", "0,1"), "--range wants A,B,N"),
-            (("--state", "psi", "--range", "a,b,3"), "--range wants two floats and an integer"),
+            (("sweep", "--state", "psi:0.3"), "bare family name"),
+            (("sweep", "--state", "psi", "--grid", "3,x"), "--grid wants two integers"),
+            (("sweep", "--state", "psi", "--range", "0,1"), "--range wants A,B,N"),
+            (("sweep", "--state", "psi", "--range", "a,b,3"),
+             "--range wants two floats and an integer"),
+            (("measure", "--state", "bells:inf"), "takes integer parameters"),
+            (("measure", "--state", "flower:1e999"), "takes integer parameters"),
+            (("measure", "--state", "bells:nan"), "takes integer parameters"),
         ],
     )
     def test_malformed_flags(self, capsys, flags, message):
-        code, _, err = run(capsys, "sweep", *flags)
+        code, _, err = run(capsys, *flags)
         assert code == 2
         assert message in err
 
@@ -208,7 +223,7 @@ class TestDump:
         path = tmp_path / "tilde.json"
         code, _, _ = run(capsys, "dump", "--state", "tilde", "--output", str(path))
         assert code == 0
-        loaded = load_matrix_json(path)
+        loaded = from_json(path.read_text())
         np.testing.assert_array_equal(loaded, states.tilde_state().data)
 
     def test_csv_round_trip(self, capsys, tmp_path):
@@ -218,7 +233,7 @@ class TestDump:
             "--output", str(path),
         )
         assert code == 0
-        loaded = load_matrix_csv(path)
+        loaded = from_csv(path.read_text())
         np.testing.assert_array_equal(loaded, states.upb_state().data)
 
     def test_stdout_json_parses(self, capsys):
@@ -234,9 +249,7 @@ class TestDump:
         p1 = tmp_path / "one.csv"
         run(capsys, "dump", "--state", "adma", "--format", "csv", "--output", str(p1))
         text1 = p1.read_text()
-        from classent.matcore import matrix_from_csv, matrix_to_csv
-
-        assert matrix_to_csv(matrix_from_csv(text1)) == text1
+        assert matrix_to_csv(from_csv(text1)) == text1
 
 
 class TestVerify:

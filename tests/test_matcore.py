@@ -1,5 +1,7 @@
 """Core linear-algebra layer: validation, reductions, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,17 +11,11 @@ from classent.matcore import (
     PureState,
     as_density,
     kron,
-    load_matrix_csv,
-    load_matrix_json,
-    matrix_from_csv,
-    matrix_from_jsonable,
     matrix_to_csv,
     matrix_to_jsonable,
     numeric_rank,
     partial_trace,
     partial_transpose,
-    save_matrix_csv,
-    save_matrix_json,
     tripartite_cuts,
     von_neumann_entropy,
 )
@@ -238,35 +234,50 @@ class TestSpectral:
             assert numeric_rank(rho) == r
 
 
+def from_json(text):
+    return np.array([[complex(re, im) for re, im in row] for row in json.loads(text)])
+
+
+def from_csv(text):
+    return np.array(
+        [[complex(cell.replace("i", "j")) for cell in line.split(",")]
+         for line in text.splitlines()]
+    )
+
+
 class TestSerialization:
-    def test_json_round_trip_exact(self, tmp_path):
+    def test_json_round_trip_exact(self):
         rng = np.random.default_rng(13)
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        path = tmp_path / "m.json"
-        save_matrix_json(m, path)
-        np.testing.assert_array_equal(load_matrix_json(path), m)
+        text = json.dumps(matrix_to_jsonable(m))
+        np.testing.assert_array_equal(from_json(text), m)
 
-    def test_csv_round_trip_exact(self, tmp_path):
+    def test_csv_round_trip_exact(self):
         rng = np.random.default_rng(14)
         m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        path = tmp_path / "m.csv"
-        save_matrix_csv(m, path)
-        np.testing.assert_array_equal(load_matrix_csv(path), m)
+        np.testing.assert_array_equal(from_csv(matrix_to_csv(m)), m)
 
     def test_jsonable_structure(self):
-        m = np.array([[1.0 + 2.0j]])
-        assert matrix_to_jsonable(m) == [[[1.0, 2.0]]]
-        np.testing.assert_array_equal(matrix_from_jsonable([[[1.0, 2.0]]]), m)
+        assert matrix_to_jsonable(np.array([[1.0 + 2.0j]])) == [[[1.0, 2.0]]]
 
     def test_csv_text_negative_imag(self):
         text = matrix_to_csv(np.array([[0.5 - 0.25j]]))
         assert text.strip() == "0.5-0.25i"
-        np.testing.assert_array_equal(matrix_from_csv(text), np.array([[0.5 - 0.25j]]))
+        np.testing.assert_array_equal(from_csv(text), np.array([[0.5 - 0.25j]]))
 
-    def test_density_matrix_serializes(self, tmp_path):
+    def test_csv_keeps_signed_zeros(self):
+        m = np.array([
+            [complex(0.5, -0.0), complex(-0.0, 0.0)],
+            [complex(-0.0, -0.0), complex(-1.0, 0.0)],
+        ])
+        text = matrix_to_csv(m)
+        assert text.splitlines()[0] == "0.5-0.0i,-0.0+0.0i"
+        back = from_csv(text)
+        np.testing.assert_array_equal(np.signbit(back.real), np.signbit(m.real))
+        np.testing.assert_array_equal(np.signbit(back.imag), np.signbit(m.imag))
+
+    def test_density_matrix_serializes(self):
         rng = np.random.default_rng(15)
         rho = random_density(rng, (2, 2))
-        path = tmp_path / "rho.json"
-        save_matrix_json(rho, path)
-        loaded = DensityMatrix(load_matrix_json(path), (2, 2))
+        loaded = DensityMatrix(from_json(json.dumps(matrix_to_jsonable(rho))), (2, 2))
         np.testing.assert_array_equal(loaded.data, rho.data)
