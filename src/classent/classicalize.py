@@ -23,7 +23,9 @@ operations and flag-condition additive.
 The grid is evaluated in one stacked pass that holds every direction's
 dAB x dAB block at once, peaking at 32 dAB^2 bytes per direction: about
 0.5 GB at the default 301 x 51 grid for dAB = 32 (``bells:3``), but
-7.5 GiB for dAB = 128 (``bells:4``).
+7.5 GiB for dAB = 128 (``bells:4``).  Under negativity with qubit A
+and B (C a qubit or qutrit), a block whose partial-transpose
+determinant is provably positive is PPT and skips the eigensolve.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import EIG_CUTOFF, DensityMatrix, as_tripartite, partial_trace
+from .matcore import EIG_CUTOFF, HERM_TOL, PSD_TOL, DensityMatrix, as_tripartite, partial_trace
 from .matcore import _partial_trace_array, _partial_transpose_array
 from .measures import (
     MeasureKind,
@@ -98,15 +100,15 @@ class DeltaResult:
     """Grid optimum of the entanglement change and its bound sandwich.
 
     ``lower_bound <= delta <= upper_bound`` is proved for negativity only;
-    under the squashed surrogate the two values bracket nothing.
+    under the squashed surrogate both bounds are None.
     """
 
     measure: MeasureKind
     delta: float
     global_value: float
     ensemble_value: float
-    lower_bound: float
-    upper_bound: float
+    lower_bound: float | None
+    upper_bound: float | None
     best_direction: MeasurementDirection
     ensemble: tuple[MeasurementOutcome, ...]
     grid: tuple[int, int]
@@ -213,13 +215,57 @@ def _first_outcomes(rho: DensityMatrix, grid) -> np.ndarray:
     return _contract(c_blocks(rho), kets.conj(), kets)
 
 
+def _ppt_by_det(pt: np.ndarray) -> np.ndarray:
+    """Mask of the stacked 4x4 partial transposes K^G that det K^G > 0 proves PPT.
+
+    A two-qubit partial transpose has at most one negative eigenvalue
+    (Sanpera, Tarrach & Vidal, PRA 58, 826, 1998), so a positive
+    determinant proves PPT (Augusiak, Demianowicz & Horodecki, PRA 77,
+    030301(R), 2008).  The Laplace expansion over the 2x2 minors of rows
+    (0, 1) and (2, 3) sums 24 products of four entries, each with at most
+    16 roundings (Higham, ch. 3).  In Frobenius norm the computed block
+    lies within G of a PSD block P: rho may have eigenvalues down to
+    -PSD_TOL (four in a block, summed over two C directions in a
+    complement) and Hermiticity errors of HERM_TOL; rounding adds far
+    less.  As |P_ij| <= max P_ii and the transpose keeps the diagonal,
+    with m the largest diagonal entry and M = m + 3G >= 2G no entry
+    exceeds M and ||K^G|| <= 4M.  The screen det > 32 u 24 M^4 +
+    1024 G M^3 then holds up: the first term, twice the forward error,
+    makes the exact det K^G positive; the Hermitian H that eigvalsh
+    reads lies within 2G of K^G, which moves the determinant by less
+    than (4M + 2G)^4 - (4M)^4 < 768 G M^3; and as P^G has at most one
+    negative eigenvalue, by Weyl a second one of H lies in [-3G, 0) and
+    caps det H at 3G (4M)^3 = 192 G M^3.  So a screened H is PSD,
+    eigvalsh finds no eigenvalue below -NEG_EIG_THRESHOLD, and the block
+    is worth -0.0 on either route.  A zero block is never screened.
+    """
+
+    def minor(r, j, k):
+        return pt[:, r, j] * pt[:, r + 1, k] - pt[:, r, k] * pt[:, r + 1, j]
+
+    det = (minor(0, 0, 1) * minor(2, 2, 3) - minor(0, 0, 2) * minor(2, 1, 3)
+           + minor(0, 0, 3) * minor(2, 1, 2) + minor(0, 1, 2) * minor(2, 0, 3)
+           - minor(0, 1, 3) * minor(2, 0, 2) + minor(0, 2, 3) * minor(2, 0, 1)).real
+    gap = 4 * PSD_TOL + 16 * HERM_TOL
+    big_m = np.diagonal(pt, axis1=1, axis2=2).real.max(axis=1) + 3 * gap
+    return det > big_m**3 * (32 * 24 * np.finfo(float).eps / 2 * big_m + 1024 * gap)
+
+
 def _weighted_values(k: np.ndarray, measure: MeasureKind, dims_ab, probs=None) -> np.ndarray:
-    """p * post_value(sigma) of each stacked block k = p sigma."""
+    """p * post_value(sigma) of each stacked block k = p sigma.
+
+    Under negativity with a two-qubit AB, blocks that ``_ppt_by_det``
+    proves PPT are worth -0.0 without an eigensolve.
+    """
     if measure is MeasureKind.NEGATIVITY:
         # Negativity scales linearly, so the weight p never needs to be
         # divided out: p * 2 N(sigma) = 2 N(<v|rho|v>).
-        w = np.linalg.eigvalsh(_partial_transpose_array(k, dims_ab, (0,)))
-        return 2.0 * -np.where(w < -NEG_EIG_THRESHOLD, w, 0.0).sum(axis=1)
+        pt = _partial_transpose_array(k, dims_ab, (0,))
+        todo = ~_ppt_by_det(pt) if dims_ab == (2, 2) else slice(None)
+        out = np.full(len(pt), -0.0)
+        w = np.linalg.eigvalsh(pt[todo])
+        out[todo] = 2.0 * -np.where(w < -NEG_EIG_THRESHOLD, w, 0.0).sum(axis=1)
+        return out
     # p (S(A) + S(B)) / 2 of the normalized marginals; zero where negligible
     if probs is None:
         probs = np.trace(k, axis1=1, axis2=2).real
@@ -299,8 +345,8 @@ def delta(state, measure=MeasureKind.NEGATIVITY, grid=DEFAULT_GRID) -> DeltaResu
     -------
     DeltaResult
         delta together with the winning direction, its outcome ensemble
-        and both bounds, all from one grid pass.  On plateaus the lowest
-        flat grid index wins.
+        and both bounds (None under squashed), all from one grid pass.
+        On plateaus the lowest flat grid index wins.
     """
     measure = as_measure(measure)
     rho = as_tripartite(state)
@@ -310,17 +356,25 @@ def delta(state, measure=MeasureKind.NEGATIVITY, grid=DEFAULT_GRID) -> DeltaResu
     best = int(np.argmax(values >= values.max() - TIE_TOL))
     best_dir = _direction_at(rho.dims[2], grid, best)
     ensemble_value = float(values[best])
+    bounded = measure is MeasureKind.NEGATIVITY
     return DeltaResult(
         measure=measure,
         delta=gval - ensemble_value,
         global_value=gval,
         ensemble_value=ensemble_value,
-        lower_bound=_floor(gval, probs, first),
-        upper_bound=gval - post_value(measure, partial_trace(rho, (0, 1))),
+        lower_bound=_floor(gval, probs, first) if bounded else None,
+        upper_bound=gval - post_value(measure, partial_trace(rho, (0, 1))) if bounded else None,
         best_direction=best_dir,
         ensemble=tuple(classicalize(rho, best_dir)),
         grid=grid,
     )
+
+
+def _bounded(measure) -> MeasureKind:
+    measure = as_measure(measure)
+    if measure is not MeasureKind.NEGATIVITY:
+        raise ValueError("bounds are proved for negativity only")
+    return measure
 
 
 def lower_bound(state, measure=MeasureKind.NEGATIVITY, grid=DEFAULT_GRID) -> float:
@@ -332,10 +386,11 @@ def lower_bound(state, measure=MeasureKind.NEGATIVITY, grid=DEFAULT_GRID) -> flo
 
     The complement outcome of a dichotomic qubit measurement is itself
     a direction, so for even grids this is never above ``delta``.  The
-    floor is proved for negativity only, and is -inf when every grid
-    direction's first outcome is negligible.
+    floor is proved for negativity only (other measures raise
+    ValueError), and is -inf when every grid direction's first outcome
+    is negligible.
     """
-    measure = as_measure(measure)
+    measure = _bounded(measure)
     rho = as_tripartite(state)
     grid = _check_grid(grid)
     gval = global_value(rho, measure)
@@ -348,8 +403,9 @@ def upper_bound(state, measure=MeasureKind.NEGATIVITY) -> float:
 
     Encoding every outcome into the same flag |0> keeps at most
     E[rho_AB (x) |0><0|], so delta <= E[rho] - that value.  This needs
-    a convex measure, so the ceiling is proved for negativity only.
+    a convex measure, so the ceiling is proved for negativity only;
+    other measures raise ValueError.
     """
-    measure = as_measure(measure)
+    measure = _bounded(measure)
     rho = as_tripartite(state)
     return global_value(rho, measure) - post_value(measure, partial_trace(rho, (0, 1)))

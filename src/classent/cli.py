@@ -5,7 +5,8 @@ named state, ``delta`` runs the grid optimization (with its bounds
 under negativity, the one measure for which they are proved),
 ``sweep`` tabulates a one-parameter family as CSV, ``verify`` runs the
 certification battery, and ``dump`` emits a state matrix for external
-tools.  Exit codes: 0 success, 1 verification failure, 2 usage error.
+tools.  Exit codes: 0 success, 1 verification failure, 2 usage error,
+3 numerical failure (a failed eigensolve or an allocation too large).
 """
 
 from __future__ import annotations
@@ -126,7 +127,8 @@ def cmd_delta(args) -> int:
     st = states.parse_state_spec(args.state)
     grid = _parse_grid(args.grid)
     res = delta(st, args.measure, grid)
-    payload = res.to_jsonable()
+    # the bound sandwich is proved for negativity only: None under squashed
+    payload = {k: v for k, v in res.to_jsonable().items() if v is not None}
     lines = [
         f"state: {args.state}",
         f"measure: {args.measure}",
@@ -139,11 +141,8 @@ def cmd_delta(args) -> int:
         "outcome probs: "
         + " ".join(_fmt(out.prob) for out in res.ensemble),
     ]
-    # the bound sandwich is proved for negativity only
-    if res.measure is MeasureKind.NEGATIVITY:
+    if res.lower_bound is not None:
         lines += [f"lower bound: {_fmt(res.lower_bound)}", f"upper bound: {_fmt(res.upper_bound)}"]
-    else:
-        del payload["lower_bound"], payload["upper_bound"]
     _emit(payload, lines, args)
     return 0
 
@@ -286,6 +285,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    # LinAlgError is a ValueError, so it is caught first
+    except (np.linalg.LinAlgError, MemoryError) as exc:
+        print(f"error: numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

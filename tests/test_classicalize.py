@@ -9,7 +9,10 @@ from classent import states
 from classent.classicalize import (
     MeasurementDirection,
     _direction_at,
+    _first_outcomes,
     _grid_outcomes,
+    _ppt_by_det,
+    _weighted_values,
     classicalize,
     delta,
     direction_kets,
@@ -19,8 +22,14 @@ from classent.classicalize import (
     lower_bound,
     upper_bound,
 )
-from classent.matcore import DensityMatrix, PureState, kron
-from classent.measures import MeasureKind, post_value
+from classent.matcore import (
+    DensityMatrix,
+    PureState,
+    _partial_trace_array,
+    _partial_transpose_array,
+    kron,
+)
+from classent.measures import NEG_EIG_THRESHOLD, MeasureKind, post_value
 
 # small even grid: closed under qubit complements, fast enough for loops
 GRID = (24, 8)
@@ -247,8 +256,130 @@ class TestBounds:
             measures.append(MeasureKind.SQUASHED)
         for measure in measures:
             res = delta(st, measure, GRID)
-            assert res.lower_bound == lower_bound(st, measure, GRID)
-            assert res.upper_bound == upper_bound(st, measure)
+            if measure is MeasureKind.NEGATIVITY:
+                assert res.lower_bound == lower_bound(st, measure, GRID)
+                assert res.upper_bound == upper_bound(st, measure)
+            else:
+                assert res.lower_bound is None and res.upper_bound is None
+                assert res.to_jsonable()["lower_bound"] is None
+
+    @pytest.mark.parametrize("bound", [lower_bound, upper_bound])
+    def test_squashed_bounds_raise(self, bound):
+        # under squashed the two values would bracket nothing (w: delta
+        # 0.711 above an upper value of 0.459)
+        with pytest.raises(ValueError, match="negativity only"):
+            bound(states.w_state(), MeasureKind.SQUASHED)
+
+
+def _eigen_route(k, dims_ab=(2, 2)):
+    """2 N of each stacked block through the full PT eigensolve."""
+    w = np.linalg.eigvalsh(_partial_transpose_array(k, dims_ab, (0,)))
+    return 2.0 * -np.where(w < -NEG_EIG_THRESHOLD, w, 0.0).sum(axis=1)
+
+
+def _screened_eigenvalues(k):
+    """PT eigenvalues of the stacked 4x4 blocks the determinant screens out."""
+    pt = _partial_transpose_array(k, (2, 2), (0,))
+    return np.linalg.eigvalsh(pt[_ppt_by_det(pt)])
+
+
+# the benchmark's catalog specs: all but ghz3, sym3 (3x3x3), flower:3
+# (3x3x2) and bells:2 (4x2x2) have a two-qubit AB
+_CATALOG = (
+    "ghz", "w", "psi:0.4", "rho:0.5", "ghz3", "sym3", "flower:2", "flower:3",
+    "tilde", "upb", "hdk", "adma", "ak:2.5", "ph:1", "heis:1", "heis:5", "bells:2",
+)
+
+
+class TestDeterminantScreen:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        rank=hst.integers(1, 4),
+        exponent=hst.integers(-14, 0),
+    )
+    def test_screened_blocks_are_ppt(self, seed, rank, exponent):
+        # random PSD blocks of every rank, mixed towards the identity by a
+        # random weight so that many sit near the PPT boundary
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((64, 4, rank)) + 1j * rng.standard_normal((64, 4, rank))
+        k = g @ g.conj().transpose(0, 2, 1)
+        k /= np.trace(k, axis1=1, axis2=2).real[:, None, None]
+        q = rng.uniform(size=(64, 1, 1))
+        k = 10.0**exponent * ((1 - q) * k + q * np.eye(4) / 4)
+        w = _screened_eigenvalues(k)
+        assert w.size == 0 or w.min() >= -NEG_EIG_THRESHOLD
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=hst.integers(0, 2**32 - 1), log_a=hst.floats(-9.0, -6.0))
+    def test_nearly_product_pure_blocks(self, seed, log_a):
+        # a|00> + b|11> has PT eigenvalues a^2, b^2, ab and -ab: rounding
+        # can push a^2 below zero and the determinant above it, while -ab
+        # still counts
+        rng = np.random.default_rng(seed)
+        a = 10.0 ** (log_a + rng.uniform(-0.5, 0.5, size=64))
+        phi = np.zeros((64, 4), complex)
+        phi[:, 0], phi[:, 3] = a, np.sqrt(1 - a**2)
+        u = np.array([kron(_haar_unitary(rng, 2), _haar_unitary(rng, 2)) for _ in range(64)])
+        phi = np.einsum("nij,nj->ni", u, phi)
+        k = np.einsum("ni,nj->nij", phi, phi.conj())
+        w = _screened_eigenvalues(k)
+        assert w.size == 0 or w.min() >= -NEG_EIG_THRESHOLD
+
+    def test_werner_blocks_at_the_ppt_boundary(self):
+        # the Werner state p |psi-><psi-| + (1 - p) 1/4 is PPT iff p <= 1/3
+        singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2)
+        offsets = (-1e-9, -1e-10, 0.0, 1e-10, 1e-9)
+        k = np.array([
+            scale * ((1 / 3 + dp) * np.outer(singlet, singlet) + (2 / 3 - dp) * np.eye(4) / 4)
+            for scale in (1.0, 0.5, 1e-3) for dp in offsets
+        ]).astype(complex)
+        want = _eigen_route(k)
+        # at full scale the entangled side clears the eigenvalue threshold
+        assert (want[:5][np.array(offsets) > 0] > 0).all()
+        assert _weighted_values(k, MeasureKind.NEGATIVITY, (2, 2)).tobytes() == want.tobytes()
+        w = _screened_eigenvalues(k)
+        assert w.size == 0 or w.min() >= -NEG_EIG_THRESHOLD
+        # far from the boundary the screen does fire
+        far = (0.2 * np.outer(singlet, singlet) + 0.8 * np.eye(4) / 4).astype(complex)
+        assert _ppt_by_det(far[None]).all()
+
+    def test_zero_block_is_not_screened(self):
+        assert not _ppt_by_det(np.zeros((1, 4, 4), complex)).any()
+
+    def test_validator_slack_is_not_screened_away(self):
+        # rho may carry eigenvalues down to -PSD_TOL; two of them in one
+        # block give a positive determinant, but an eigen-route value the
+        # screen must keep
+        slack = np.diag([-9e-10, -9e-10, 1e-3, 1e-3]).astype(complex)
+        rest = (1 - np.trace(slack).real) * np.eye(4) / 4
+        rho = kron(slack, np.diag([1.0, 0.0])) + kron(rest, np.diag([0.0, 1.0]))
+        k = _first_outcomes(DensityMatrix(rho, (2, 2, 2)), GRID)
+        want = _eigen_route(k)
+        assert want.max() > 0
+        assert _weighted_values(k, MeasureKind.NEGATIVITY, (2, 2)).tobytes() == want.tobytes()
+
+    def test_bit_identical_to_the_eigen_route(self):
+        # the sign of -0.0 counts: both routes give the same bytes on the
+        # first-outcome and complement blocks, screened (two-qubit AB, qubit
+        # or qutrit C) or not (every other AB)
+        rng = np.random.default_rng(7)
+        sts = [states.parse_state_spec(spec) for spec in _CATALOG]
+        sts += [states.random_density_matrix((2, 2, 2), rng) for _ in range(30)]
+        sts += [states.random_density_matrix((2, 2, 3), rng) for _ in range(5)]
+        screened = 0
+        for st in sts:
+            rho = st if isinstance(st, DensityMatrix) else st.projector()
+            dims_ab = rho.dims[:2]
+            first = _first_outcomes(rho, (48, 16))
+            rest = _partial_trace_array(rho.data, rho.dims, (0, 1)) - first
+            for k in (first, rest):
+                got = _weighted_values(k, MeasureKind.NEGATIVITY, dims_ab)
+                assert got.tobytes() == _eigen_route(k, dims_ab).tobytes()
+                if dims_ab == (2, 2):
+                    pt = _partial_transpose_array(k, dims_ab, (0,))
+                    screened += int(_ppt_by_det(pt).sum())
+        assert screened > 0
 
 
 def _haar_unitary(rng, d):
@@ -286,5 +417,6 @@ class TestInvariance:
         for other in (rotated, swapped):
             got = delta(other, measure, grid)
             assert got.delta == pytest.approx(want.delta, abs=1e-9)
-            assert got.lower_bound == pytest.approx(want.lower_bound, abs=1e-9)
-            assert got.upper_bound == pytest.approx(want.upper_bound, abs=1e-9)
+            if measure == "negativity":
+                assert got.lower_bound == pytest.approx(want.lower_bound, abs=1e-9)
+                assert got.upper_bound == pytest.approx(want.upper_bound, abs=1e-9)

@@ -56,6 +56,22 @@ class TestUsageErrors:
         assert "mixed" in err
 
 
+class TestNumericalFailure:
+    @pytest.mark.parametrize("exc", [np.linalg.LinAlgError("Eigenvalues did not converge"),
+                                     MemoryError()])
+    def test_exit_code_three(self, capsys, monkeypatch, exc):
+        # a failed eigensolve or allocation is neither a usage error (2)
+        # nor a failed verification (1)
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr("classent.cli.delta", fail)
+        code, _, err = run(capsys, "delta", "--state", "ghz", "--grid", "8,4")
+        assert code == 3
+        assert err.startswith("error: numerical failure: ")
+        assert type(exc).__name__ in err
+
+
 class TestMeasure:
     def test_ghz_plain(self, capsys):
         code, out, _ = run(capsys, "measure", "--state", "ghz")
