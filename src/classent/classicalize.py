@@ -20,12 +20,14 @@ to dichotomic projective measurements and perfect encodings loses no
 generality for measures that are convex, monotonic under local
 operations and flag-condition additive.
 
-The grid is evaluated in one stacked pass that holds every direction's
-dAB x dAB block at once, peaking at 32 dAB^2 bytes per direction: about
-0.5 GB at the default 301 x 51 grid for dAB = 32 (``bells:3``), but
-7.5 GiB for dAB = 128 (``bells:4``).  Under negativity with qubit A
-and B (C a qubit or qutrit), a block whose partial-transpose
-determinant is provably positive is PPT and skips the eigensolve.
+The grid is evaluated in one stacked pass.  A mixed state holds every
+direction's dAB x dAB block at once, 32 dAB^2 bytes per direction: about
+0.5 GB at the default 301 x 51 grid for dAB = 32.  Under negativity with
+qubit A and B, a block whose partial-transpose determinant is provably
+positive is PPT and skips the eigensolve.  A ``PureState`` keeps its
+vector: each outcome is rank one, so the pass holds only the N dA dB
+amplitudes <v_n|_C psi and reads both measures from their Schmidt
+coefficients, which runs dAB = 128 (``bells:4``) in about 84 MiB.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import EIG_CUTOFF, HERM_TOL, PSD_TOL, DensityMatrix, as_tripartite, partial_trace
-from .matcore import _partial_trace_array, _partial_transpose_array
+from .matcore import EIG_CUTOFF, HERM_TOL, PSD_TOL, DensityMatrix, PureState, as_tripartite
+from .matcore import _partial_trace_array, _partial_transpose_array, partial_trace
 from .measures import (
     MeasureKind,
     NEG_EIG_THRESHOLD,
@@ -269,23 +271,87 @@ def _weighted_values(k: np.ndarray, measure: MeasureKind, dims_ab, probs=None) -
     # p (S(A) + S(B)) / 2 of the normalized marginals; zero where negligible
     if probs is None:
         probs = np.trace(k, axis1=1, axis2=2).real
-    safe = np.where(probs > ZERO_PROB, probs, 1.0)
-    out = np.zeros(k.shape[0])
-    for keep in ((0,), (1,)):
-        w = np.linalg.eigvalsh(_partial_trace_array(k, dims_ab, keep)) / safe[:, None]
-        logs = np.log2(w, out=np.zeros_like(w), where=w > EIG_CUTOFF)
-        out += -(np.where(w > EIG_CUTOFF, w, 0.0) * logs).sum(axis=1)
-    return probs * np.where(probs > ZERO_PROB, out / 2.0, 0.0)
+    out = sum(_entropies(np.linalg.eigvalsh(_partial_trace_array(k, dims_ab, keep)), probs)
+              for keep in ((0,), (1,)))
+    return probs * (out / 2.0)
 
 
-def _grid_outcomes(rho: DensityMatrix, measure: MeasureKind, grid, probs=True, complement=True):
+def _entropies(w: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each row of spectra w / p, dropping entries at or
+    below EIG_CUTOFF; zero where p is negligible."""
+    w = w / np.where(probs > ZERO_PROB, probs, 1.0)[:, None]
+    logs = np.log2(w, out=np.zeros_like(w), where=w > EIG_CUTOFF)
+    return np.where(probs > ZERO_PROB, -(np.where(w > EIG_CUTOFF, w, 0.0) * logs).sum(axis=1), 0.0)
+
+
+def _schmidt_values(phi: np.ndarray, measure: MeasureKind, probs: np.ndarray) -> np.ndarray:
+    """p * post_value(sigma) of each rank-one block |phi_n><phi_n| = p sigma.
+
+    With s the Schmidt coefficients of the dA x dB matrix phi_n, the
+    partial transpose has eigenvalues s_i^2 and +-s_i s_j (i < j): 2 N sums
+    the pairs s_i s_j > NEG_EIG_THRESHOLD, exactly those the eigen route
+    keeps.  Both marginals have spectrum s^2.  For qubit A and B,
+    s_1 s_2 = |det phi_n| and s^2 = (p +- sqrt(p^2 - 4 det^2)) / 2.
+    """
+    qubits = phi.shape[1:] == (2, 2)
+    if qubits:
+        det = np.abs(phi[:, 0, 0] * phi[:, 1, 1] - phi[:, 0, 1] * phi[:, 1, 0])
+    if measure is MeasureKind.NEGATIVITY:
+        if qubits:
+            pairs = det[:, None]
+        else:
+            s = np.linalg.svd(phi, compute_uv=False)
+            i, j = np.triu_indices(s.shape[1], 1)
+            pairs = s[:, i] * s[:, j]
+        return 2.0 * np.where(pairs > NEG_EIG_THRESHOLD, pairs, 0.0).sum(axis=1)
+    if qubits:
+        # the small root as det^2 / big root, free of cancellation
+        big = (probs + np.sqrt(np.maximum(probs**2 - 4 * det**2, 0.0))) / 2
+        w = np.stack([big, det**2 / np.where(big > 0, big, 1.0)], axis=1)
+    else:
+        # s^2 is the spectrum of the smaller Gram matrix, phi phi^dag or (phi^dag phi)^*
+        g = phi if phi.shape[1] <= phi.shape[2] else phi.transpose(0, 2, 1)
+        w = np.linalg.eigvalsh(g @ g.conj().transpose(0, 2, 1))
+    return probs * _entropies(w, probs)
+
+
+def _schmidt_outcomes(psi: PureState, measure: MeasureKind, grid, complement: bool):
+    """``_grid_outcomes`` of a pure state from the amplitudes phi_n = <v_n|_C psi."""
+    da, db, dc = psi.dims
+    amps = psi.amp.reshape(da * db, dc)
+    kets = direction_kets(dc, grid)
+    n = len(kets)
+    if complement and dc == 2:
+        # 1 - |v><v| = |v'><v'| with v' = (-v_1^*, v_0^*), so it is rank one too
+        kets = np.concatenate([kets, np.stack([-kets[:, 1].conj(), kets[:, 0].conj()], axis=1)])
+    phi = (kets.conj() @ amps.T).reshape(-1, da, db)
+    re_im = phi.reshape(len(phi), -1).view(float)
+    probs = np.einsum("ni,ni->n", re_im, re_im)
+    values = _schmidt_values(phi, measure, probs)
+    first = values[:n]
+    if not complement:
+        return probs, first, None
+    if dc == 2:
+        return probs[:n], first, first + values[n:]
+    # a qutrit C leaves the rank-two complement rho_AB - |phi_n><phi_n|
+    flat = phi.reshape(n, -1, 1)
+    rest = amps @ amps.conj().T - flat * flat.conj().transpose(0, 2, 1)
+    return probs, first, first + _weighted_values(rest, measure, (da, db))
+
+
+def _grid_outcomes(state, measure: MeasureKind, grid, probs=True, complement=True):
     """One pass over the grid directions |v_n> on C, in flat grid order.
 
     Returns the first-outcome probabilities p_n, the weighted first-outcome
     values p_n E[sigma_n (x) |0><0|] and the ensemble values, which add the
-    complement outcome.  Without ``probs`` or ``complement`` the
-    probabilities or the ensemble values are skipped and returned as None.
+    complement outcome, or None without ``complement``; a mixed state
+    also skips the probabilities without ``probs``.  A ``PureState``, whose
+    caller has checked it is tripartite, takes the Schmidt route; a
+    ``DensityMatrix`` takes the eigen route.
     """
+    if isinstance(state, PureState):
+        return _schmidt_outcomes(state, measure, grid, complement)
+    rho = as_tripartite(state)
     dims_ab = rho.dims[:2]
     k = _first_outcomes(rho, grid)
     p = np.trace(k, axis1=1, axis2=2).real if probs else None
@@ -324,8 +390,8 @@ def ensemble_values(state, measure=MeasureKind.NEGATIVITY, grid=DEFAULT_GRID) ->
     order; ``delta`` subtracts its maximum from the global value.
     """
     measure = as_measure(measure)
-    rho = as_tripartite(state)
-    return _grid_outcomes(rho, measure, _check_grid(grid), probs=False)[2]
+    as_tripartite(state)  # the gate only: a pure state keeps its vector below
+    return _grid_outcomes(state, measure, _check_grid(grid), probs=False)[2]
 
 
 def delta(state, measure=MeasureKind.NEGATIVITY, grid=DEFAULT_GRID) -> DeltaResult:
@@ -352,7 +418,7 @@ def delta(state, measure=MeasureKind.NEGATIVITY, grid=DEFAULT_GRID) -> DeltaResu
     rho = as_tripartite(state)
     grid = _check_grid(grid)
     gval = global_value(rho, measure)
-    probs, first, values = _grid_outcomes(rho, measure, grid)
+    probs, first, values = _grid_outcomes(state, measure, grid)
     best = int(np.argmax(values >= values.max() - TIE_TOL))
     best_dir = _direction_at(rho.dims[2], grid, best)
     ensemble_value = float(values[best])
@@ -394,7 +460,7 @@ def lower_bound(state, measure=MeasureKind.NEGATIVITY, grid=DEFAULT_GRID) -> flo
     rho = as_tripartite(state)
     grid = _check_grid(grid)
     gval = global_value(rho, measure)
-    probs, first, _ = _grid_outcomes(rho, measure, grid, complement=False)
+    probs, first, _ = _grid_outcomes(state, measure, grid, complement=False)
     return _floor(gval, probs, first)
 
 

@@ -1,5 +1,7 @@
 """The classicalization channel and the grid optimization of delta."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -225,13 +227,17 @@ class TestBounds:
         assert up == pytest.approx(1.0021909, abs=1e-6)
 
     def test_no_floor_when_every_first_outcome_is_negligible(self):
-        # x in {0, pi} gives only kets along |0>, which never see C = |1>
+        # x in {0, pi} gives only kets along |0>, which never see C = |1>;
+        # the mixed input takes the eigen route, the pure one the Schmidt route
         sigma = states.random_density_matrix((2, 2), np.random.default_rng(5))
-        flag = np.diag([0.0, 1.0]).astype(complex)
-        st = DensityMatrix(kron(sigma.data, flag), (2, 2, 2))
-        res = delta(st, MeasureKind.NEGATIVITY, (1, 2))
-        assert res.lower_bound == lower_bound(st, MeasureKind.NEGATIVITY, (1, 2)) == -np.inf
-        assert res.lower_bound <= res.delta
+        psi = states.random_pure_state((2, 2), np.random.default_rng(5))
+        for st in (
+            DensityMatrix(kron(sigma.data, np.diag([0.0, 1.0])), (2, 2, 2)),
+            PureState(np.kron(psi.amp, [0.0, 1.0]), (2, 2, 2)),
+        ):
+            res = delta(st, MeasureKind.NEGATIVITY, (1, 2))
+            assert res.lower_bound == lower_bound(st, MeasureKind.NEGATIVITY, (1, 2)) == -np.inf
+            assert res.lower_bound <= res.delta
 
     @settings(max_examples=25, deadline=None)
     @given(seed=hst.integers(0, 2**32 - 1), pure=hst.booleans())
@@ -380,6 +386,65 @@ class TestDeterminantScreen:
                     pt = _partial_transpose_array(k, dims_ab, (0,))
                     screened += int(_ppt_by_det(pt).sum())
         assert screened > 0
+
+
+# the random pure inputs of TestSchmidtKernel: the determinant (2x2), the
+# SVD (2x3, 3x2, 4x2) and the rank-two qutrit-C complement (2x2x3)
+_PURE_DIMS = ((2, 2, 2), (2, 3, 2), (3, 2, 2), (4, 2, 2), (2, 2, 3))
+
+
+def _assert_routes_agree(st, grid):
+    """The Schmidt route on ``st`` matches the eigen route on its projector."""
+    rho = st.projector()
+    for measure in MeasureKind:
+        got, want = ensemble_values(st, measure, grid), ensemble_values(rho, measure, grid)
+        assert np.abs(got - want).max() <= 1e-12
+        assert delta(st, measure, grid).best_direction.index == \
+            delta(rho, measure, grid).best_direction.index
+        # lower_bound's pass; under squashed the floor is not a bound
+        got = _grid_outcomes(st, measure, grid, complement=False)
+        want = _grid_outcomes(rho, measure, grid, complement=False)
+        assert np.abs(got[0] - want[0]).max() <= 1e-12
+        assert np.abs(got[1] - want[1]).max() <= 1e-12
+    assert abs(lower_bound(st, "negativity", grid) - lower_bound(rho, "negativity", grid)) <= 1e-12
+
+
+class TestSchmidtKernel:
+    @pytest.mark.parametrize("spec", ["ghz", "w", "psi:0.4", "bells:2", "bells:3", "ghz3", "sym3"])
+    def test_catalog_matches_the_eigen_route(self, spec):
+        _assert_routes_agree(states.parse_state_spec(spec), (48, 16))
+
+    def test_random_states_match_the_eigen_route(self):
+        rng = np.random.default_rng(11)
+        for i in range(200):
+            _assert_routes_agree(states.random_pure_state(_PURE_DIMS[i % 5], rng), GRID)
+
+    @pytest.mark.parametrize("scale", [0.99, 1.01])
+    def test_threshold_edge(self, scale):
+        # a|00> + b|11> on AB, C = |0>: on x in {0, pi/2, pi} the first
+        # outcome is the whole state or nothing, with PT eigenvalue -ab just
+        # below or above -NEG_EIG_THRESHOLD
+        a = scale * NEG_EIG_THRESHOLD
+        amp = np.zeros(8, complex)
+        amp[0], amp[6] = a, np.sqrt(1 - a * a)
+        st = PureState(amp, (2, 2, 2))
+        _assert_routes_agree(st, (2, 2))
+        assert (ensemble_values(st, MeasureKind.NEGATIVITY, (2, 2)).max() > 0) == (scale > 1)
+
+    def test_bells4_at_the_default_grid(self):
+        # the eigen route would hold two (15351, 128, 128) stacks, 7.5 GiB
+        st = states.parse_state_spec("bells:4")
+        tracemalloc.start()
+        try:
+            res = delta(st)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(res.delta - 4.5) <= 1e-9
+        assert res.lower_bound <= res.delta + 1e-9
+        assert res.delta <= res.upper_bound + 1e-9
+        assert res.upper_bound <= res.global_value + 1e-9
+        assert peak < 128 * 2**20
 
 
 def _haar_unitary(rng, d):
