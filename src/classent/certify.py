@@ -31,6 +31,7 @@ from .classicalize import (
     _contract,
     _direction_at,
     _first_outcomes,
+    _traces,
     c_blocks,
     direction_kets,
 )
@@ -44,9 +45,6 @@ BLOCK_TOL = 1e-10
 # Marginal eigenvalues closer than this leave the diagonalizing basis
 # ambiguous, so the discord test falls back to a search.
 DEGENERACY_GAP = 1e-8
-
-# Eigenvalues above this count toward the ranks of the rank report.
-RANK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -86,7 +84,7 @@ def condition1_check(state, grid=DEFAULT_GRID) -> Condition1Report:
             f"PPT not decisive for dims {rho.dims}; the scan needs qubit A and B"
         )
     k0 = _first_outcomes(rho, grid)
-    probs = np.trace(k0, axis1=1, axis2=2).real
+    probs = _traces(k0)
     mask = probs > ZERO_PROB
     min_eigs = np.linalg.eigvalsh(_partial_transpose_array(k0, (2, 2), (0,)))[:, 0]
     witnesses = np.where(mask, min_eigs / np.where(mask, probs, 1.0), np.inf)
@@ -165,11 +163,11 @@ def fixed_point_check(state, basis: np.ndarray | None = None) -> float:
     """
     rho = as_tripartite(state)
     dc = rho.dims[2]
-    if basis is None:
-        basis = np.eye(dc, dtype=complex)
-    basis = np.asarray(basis, dtype=complex)
+    basis = np.eye(dc, dtype=complex) if basis is None else np.asarray(basis, dtype=complex)
     if basis.shape != (dc, dc):
         raise ValueError(f"basis must be a {dc}x{dc} unitary; got shape {basis.shape}")
+    if not np.all(np.isfinite(basis)):
+        raise ValueError(f"basis must be a {dc}x{dc} unitary; it has NaN or infinite entries")
     unitary_dev = float(np.max(np.abs(basis.conj().T @ basis - np.eye(dc))))
     if unitary_dev > 1e-10:
         raise ValueError(f"basis must be a {dc}x{dc} unitary; deviation {unitary_dev:.3e}")
@@ -201,8 +199,8 @@ def rank_report(state, condition1_pass: bool = False) -> RankReport:
     """
     rho = as_tripartite(state)
     ppt = {cut.label(): ppt_verdict(rho, cut) for cut in tripartite_cuts()}
-    rank = numeric_rank(rho, RANK_TOL)
-    rank_ab = numeric_rank(partial_trace(rho, (0, 1)), RANK_TOL)
+    rank = numeric_rank(rho)
+    rank_ab = numeric_rank(partial_trace(rho, (0, 1)))
     flags = []
     if condition1_pass:
         npt_both = ppt["BC|A"].is_entangled and ppt["AC|B"].is_entangled

@@ -32,6 +32,7 @@ coefficients, which runs dAB = 128 (``bells:4``) in about 84 MiB.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,8 +130,10 @@ class DeltaResult:
 
 
 def _check_grid(grid) -> tuple[int, int]:
-    nx, nt = grid
-    nx, nt = int(nx), int(nt)
+    try:
+        nx, nt = map(operator.index, grid)
+    except TypeError:
+        raise ValueError(f"grid resolution must be integers, got {grid!r}") from None
     if nx < 1 or nt < 1:
         raise ValueError(f"grid resolution must be positive, got {(nx, nt)}")
     return nx, nt
@@ -217,6 +220,11 @@ def _first_outcomes(rho: DensityMatrix, grid) -> np.ndarray:
     return _contract(c_blocks(rho), kets.conj(), kets)
 
 
+def _traces(k: np.ndarray) -> np.ndarray:
+    """Real traces of the stacked blocks k, (N,)."""
+    return np.einsum("nii->n", k).real
+
+
 def _ppt_by_det(pt: np.ndarray) -> np.ndarray:
     """Mask of the stacked 4x4 partial transposes K^G that det K^G > 0 proves PPT.
 
@@ -253,7 +261,7 @@ def _ppt_by_det(pt: np.ndarray) -> np.ndarray:
     return det > big_m**3 * (32 * 24 * np.finfo(float).eps / 2 * big_m + 1024 * gap)
 
 
-def _weighted_values(k: np.ndarray, measure: MeasureKind, dims_ab, probs=None) -> np.ndarray:
+def _weighted_values(k: np.ndarray, measure: MeasureKind, dims_ab) -> np.ndarray:
     """p * post_value(sigma) of each stacked block k = p sigma.
 
     Under negativity with a two-qubit AB, blocks that ``_ppt_by_det``
@@ -269,8 +277,7 @@ def _weighted_values(k: np.ndarray, measure: MeasureKind, dims_ab, probs=None) -
         out[todo] = 2.0 * -np.where(w < -NEG_EIG_THRESHOLD, w, 0.0).sum(axis=1)
         return out
     # p (S(A) + S(B)) / 2 of the normalized marginals; zero where negligible
-    if probs is None:
-        probs = np.trace(k, axis1=1, axis2=2).real
+    probs = _traces(k)
     out = sum(_entropies(np.linalg.eigvalsh(_partial_trace_array(k, dims_ab, keep)), probs)
               for keep in ((0,), (1,)))
     return probs * (out / 2.0)
@@ -339,14 +346,13 @@ def _schmidt_outcomes(psi: PureState, measure: MeasureKind, grid, complement: bo
     return probs, first, first + _weighted_values(rest, measure, (da, db))
 
 
-def _grid_outcomes(state, measure: MeasureKind, grid, probs=True, complement=True):
+def _grid_outcomes(state, measure: MeasureKind, grid, complement=True):
     """One pass over the grid directions |v_n> on C, in flat grid order.
 
     Returns the first-outcome probabilities p_n, the weighted first-outcome
     values p_n E[sigma_n (x) |0><0|] and the ensemble values, which add the
-    complement outcome, or None without ``complement``; a mixed state
-    also skips the probabilities without ``probs``.  A ``PureState``, whose
-    caller has checked it is tripartite, takes the Schmidt route; a
+    complement outcome, or None without ``complement``.  A ``PureState``,
+    whose caller has checked it is tripartite, takes the Schmidt route; a
     ``DensityMatrix`` takes the eigen route.
     """
     if isinstance(state, PureState):
@@ -354,8 +360,8 @@ def _grid_outcomes(state, measure: MeasureKind, grid, probs=True, complement=Tru
     rho = as_tripartite(state)
     dims_ab = rho.dims[:2]
     k = _first_outcomes(rho, grid)
-    p = np.trace(k, axis1=1, axis2=2).real if probs else None
-    first = _weighted_values(k, measure, dims_ab, p)
+    p = _traces(k)
+    first = _weighted_values(k, measure, dims_ab)
     if not complement:
         return p, first, None
     # The complement block rho_AB - <v|rho|v> overwrites the first one,
@@ -391,7 +397,7 @@ def ensemble_values(state, measure=MeasureKind.NEGATIVITY, grid=DEFAULT_GRID) ->
     """
     measure = as_measure(measure)
     as_tripartite(state)  # the gate only: a pure state keeps its vector below
-    return _grid_outcomes(state, measure, _check_grid(grid), probs=False)[2]
+    return _grid_outcomes(state, measure, _check_grid(grid))[2]
 
 
 def delta(state, measure=MeasureKind.NEGATIVITY, grid=DEFAULT_GRID) -> DeltaResult:

@@ -20,8 +20,11 @@ HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
 
-# Eigenvalues below this cutoff are treated as zero in entropies and ranks.
+# Eigenvalues below this cutoff are treated as zero in entropies.
 EIG_CUTOFF = 1e-10
+
+# Eigenvalues above this count toward a numeric rank.
+RANK_TOL = 1e-8
 
 # A state with tr(rho^2) this close to 1 counts as pure.
 PURITY_TOL = 1e-10
@@ -113,6 +116,8 @@ class PureState:
             raise ValueError(
                 f"amplitude length {vec.size} does not match dims {dims}"
             )
+        if any(d < 2 for d in dims):
+            raise ValueError(f"subsystem dimensions must be >= 2, got {dims}")
         norm_dev = abs(float(np.linalg.norm(vec)) - 1.0)
         if norm_dev > 1e-12:
             raise ValueError(f"norm deviates from 1 by {norm_dev:.3e} > 1e-12")
@@ -279,10 +284,9 @@ def von_neumann_entropy(rho) -> float:
     return float(-np.sum(w * np.log2(w)))
 
 
-def numeric_rank(rho, tol: float = EIG_CUTOFF) -> int:
-    """Number of eigenvalues above ``tol``."""
-    w = np.linalg.eigvalsh(_as_array(rho))
-    return int(np.count_nonzero(w > tol))
+def numeric_rank(rho) -> int:
+    """Number of eigenvalues above ``RANK_TOL``."""
+    return int(np.count_nonzero(np.linalg.eigvalsh(_as_array(rho)) > RANK_TOL))
 
 
 # ---------------------------------------------------------------------------

@@ -101,8 +101,7 @@ def pure_negativity_schmidt(psi: PureState, part: Bipartition) -> float:
     part.check_covers(len(psi.dims))
     tensor = psi.amp.reshape(psi.dims)
     perm = list(part.left) + list(part.right)
-    d_left = int(np.prod([psi.dims[i] for i in part.left]))
-    block = tensor.transpose(perm).reshape(d_left, -1)
+    block = tensor.transpose(perm).reshape(part.block_dims(psi.dims)[0], -1)
     coeffs = np.linalg.svd(block, compute_uv=False)
     total = float(coeffs.sum())
     return (total * total - float(np.sum(coeffs**2))) / 2.0

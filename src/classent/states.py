@@ -303,7 +303,7 @@ def random_density_matrix(dims, rng: np.random.Generator) -> DensityMatrix:
 # Command-line state specifications
 # ---------------------------------------------------------------------------
 
-# family name -> (builder, parameter names, defaults or None if required)
+# family name -> (builder, parameter names, bare-name arguments or None if required)
 _FAMILIES = {
     "ghz": (lambda: ghz_state(2), (), ()),
     "ghz3": (lambda: ghz_state(3), (), ()),
@@ -314,9 +314,9 @@ _FAMILIES = {
     "bells": (bell_pairs, ("n",), None),
     "flower": (flower_state, ("d",), None),
     "tilde": (tilde_state, (), ()),
-    "hdk": (hdk_state, ("t",), (0.64,)),
+    "hdk": (hdk_state, ("t",), ()),
     "upb": (upb_state, (), ()),
-    "adma": (adma_state, ("a", "b", "c"), (2.0, 3.0, 5.0)),
+    "adma": (adma_state, ("a", "b", "c"), ()),
     "ak": (ak_state, ("y",), None),
     "ph": (ph_state, ("z",), None),
     "heis": (heisenberg_thermal, ("T",), None),
@@ -344,7 +344,7 @@ def parse_state_spec(text: str):
     if name not in _FAMILIES:
         known = ", ".join(sorted(_FAMILIES))
         raise ValueError(f"unknown state family {name!r}; expected one of: {known}")
-    builder, param_names, defaults = _FAMILIES[name]
+    builder, param_names, params = _FAMILIES[name]
     if tail:
         parts = tail.split(",")
         if len(parts) != len(param_names):
@@ -359,9 +359,7 @@ def parse_state_spec(text: str):
             if not all(p.is_integer() for p in params):
                 raise ValueError(f"family {name!r} takes integer parameters, got {tail!r}")
             params = tuple(int(p) for p in params)
-    elif defaults is None:
+    elif params is None:
         wanted = ",".join(f"<{p}>" for p in param_names)
         raise ValueError(f"family {name!r} needs parameters: {name}:{wanted}")
-    else:
-        params = tuple(defaults)
     return builder(*params)

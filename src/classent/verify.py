@@ -259,12 +259,7 @@ def check_tilde_complete_loss(seed, grid):
 @_check("zoo-ranks-ppt", "zoo")
 def check_zoo_ranks_ppt(seed, grid):
     """Ranks (4, 7, 8, 5) for the PPT zoo, PPT on every bipartition."""
-    zoo = (
-        states.upb_state(),
-        states.adma_state(2, 3, 5),
-        states.ak_state(2.5),
-        states.ph_state(1.0),
-    )
+    zoo = (states.upb_state(), states.adma_state(), states.ak_state(2.5), states.ph_state(1.0))
     reps = [rank_report(st) for st in zoo]
     ranks = tuple(rep.rank for rep in reps)
     worst = min(v.witness for rep in reps for v in rep.ppt.values())

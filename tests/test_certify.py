@@ -175,9 +175,11 @@ class TestFixedPoint:
         h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
         assert fixed_point_check(rho, h) > 1e-3
 
-    def test_rejects_non_unitary_basis(self):
+    @pytest.mark.parametrize("bad", [1.0, np.nan, np.inf], ids=["ones", "nan", "inf"])
+    def test_rejects_non_unitary_basis(self, bad):
+        # NaN slips past a deviation threshold, so non-finite bases are checked first
         with pytest.raises(ValueError, match="unitary"):
-            fixed_point_check(states.ghz_state(), np.ones((2, 2)))
+            fixed_point_check(states.ghz_state(), np.full((2, 2), bad))
 
     def test_rejects_wrong_shape_basis(self):
         # the shape is checked before the basis is multiplied out

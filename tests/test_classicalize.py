@@ -186,9 +186,13 @@ class TestDelta:
         with pytest.raises(ValueError, match="mixed"):
             delta(states.ghz_w_mixture(0.5), MeasureKind.SQUASHED, (4, 2))
 
-    def test_rejects_bad_grid(self):
-        with pytest.raises(ValueError):
-            delta(states.ghz_state(), MeasureKind.NEGATIVITY, (0, 5))
+    @pytest.mark.parametrize(
+        "grid", [(0, 5), (24.7, 8), ("3", 2), (np.inf, 2)], ids=["zero", "float", "str", "inf"]
+    )
+    def test_rejects_bad_grid(self, grid):
+        # a non-integer entry is refused, not truncated or overflowed
+        with pytest.raises(ValueError, match="grid resolution"):
+            delta(states.ghz_state(), MeasureKind.NEGATIVITY, grid)
 
     def test_qutrit_c_supported(self):
         res = delta(states.ghz_state(3), MeasureKind.NEGATIVITY, (30, 10))

@@ -100,6 +100,15 @@ class TestPureState:
         assert isinstance(as_density(psi), DensityMatrix)
 
 
+@pytest.mark.parametrize("build", [DensityMatrix, PureState])
+def test_rejects_dimension_one_subsystem(build):
+    # a valid state on 8 levels, but split as 1 x 8 it has no subsystem A
+    e0 = np.eye(8)[0]
+    data = np.outer(e0, e0) if build is DensityMatrix else e0
+    with pytest.raises(ValueError, match="subsystem dimensions must be >= 2"):
+        build(data, (1, 8))
+
+
 class TestBipartition:
     def test_label(self):
         assert Bipartition((0, 1), (2,)).label() == "AB|C"
