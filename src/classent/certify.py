@@ -31,6 +31,7 @@ from .classicalize import (
     _contract,
     _direction_at,
     _first_outcomes,
+    _slices,
     _traces,
     c_blocks,
     direction_kets,
@@ -80,23 +81,18 @@ def condition1_check(state, grid=DEFAULT_GRID) -> Condition1Report:
     """
     rho = as_tripartite(state)
     if rho.dims[:2] != (2, 2):
-        raise ValueError(
-            f"PPT not decisive for dims {rho.dims}; the scan needs qubit A and B"
-        )
-    k0 = _first_outcomes(rho, grid)
-    probs = _traces(k0)
+        raise ValueError(f"PPT not decisive for dims {rho.dims}; the scan needs qubit A and B")
+    probs, min_eigs = map(np.concatenate, zip(*(
+        (_traces(k), np.linalg.eigvalsh(_partial_transpose_array(k, (2, 2), (0,)))[:, 0])
+        for k in _first_outcomes(rho, grid))))
     mask = probs > ZERO_PROB
-    min_eigs = np.linalg.eigvalsh(_partial_transpose_array(k0, (2, 2), (0,)))[:, 0]
     witnesses = np.where(mask, min_eigs / np.where(mask, probs, 1.0), np.inf)
-    skipped = int((~mask).sum())
-    checked = int(mask.sum())
+    checked, skipped = int(mask.sum()), int((~mask).sum())
     failing = np.nonzero(witnesses < -PPT_TOL)[0]
     if failing.size:
         first = int(failing[0])
-        return Condition1Report(
-            "fail", checked, skipped, float(witnesses[first]),
-            _direction_at(rho.dims[2], grid, first),
-        )
+        return Condition1Report("fail", checked, skipped, float(witnesses[first]),
+                                _direction_at(rho.dims[2], grid, first))
     worst = float(witnesses[mask].min()) if checked else np.inf
     return Condition1Report("pass", checked, skipped, worst, None)
 
@@ -143,13 +139,12 @@ def zero_discord_check(state, grid=DEFAULT_GRID) -> DiscordReport:
         return DiscordReport("undecided", None)
     kets = direction_kets(2, grid)
     perps = np.stack([-kets[:, 1].conj(), kets[:, 0].conj()], axis=-1)
-    cross = _contract(blocks, kets.conj(), perps)
-    flat = np.abs(cross).reshape(cross.shape[0], -1).max(axis=1)
-    hits = np.nonzero(flat <= BLOCK_TOL)[0]
-    if hits.size:
-        n = int(hits[0])
-        found = np.stack([kets[n], perps[n]], axis=-1)
-        return DiscordReport("yes", found)
+    for s in _slices(len(kets), rho.side // 2):
+        cross = _contract(blocks, kets[s].conj(), perps[s])
+        hits = np.nonzero(np.abs(cross).reshape(len(cross), -1).max(axis=1) <= BLOCK_TOL)[0]
+        if hits.size:
+            n = s.start + int(hits[0])
+            return DiscordReport("yes", np.stack([kets[n], perps[n]], axis=-1))
     return DiscordReport("undecided", None)
 
 

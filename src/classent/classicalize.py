@@ -20,9 +20,9 @@ to dichotomic projective measurements and perfect encodings loses no
 generality for measures that are convex, monotonic under local
 operations and flag-condition additive.
 
-The grid is evaluated in one stacked pass.  A mixed state holds every
-direction's dAB x dAB block at once, 32 dAB^2 bytes per direction: about
-0.5 GB at the default 301 x 51 grid for dAB = 32.  Under negativity with
+The grid is evaluated in contiguous slices of the flat direction order,
+each holding at most STACK_BYTES of dAB x dAB blocks, with the numbers of
+one batch: ``flower:6`` (dAB = 36) peaks near 17 MiB.  Under negativity with
 qubit A and B, a block whose partial-transpose determinant is provably
 positive is PPT and skips the eigensolve.  A ``PureState`` keeps its
 vector: each outcome is rank one, so the pass holds only the N dA dB
@@ -32,13 +32,12 @@ coefficients, which runs dAB = 128 (``bells:4``) in about 84 MiB.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .matcore import EIG_CUTOFF, HERM_TOL, PSD_TOL, DensityMatrix, PureState, as_tripartite
-from .matcore import _partial_trace_array, _partial_transpose_array, partial_trace
+from .matcore import _partial_trace_array, _partial_transpose_array, as_ints, partial_trace
 from .measures import (
     MeasureKind,
     NEG_EIG_THRESHOLD,
@@ -57,6 +56,9 @@ ZERO_PROB = 1e-12
 # Grid values this close to the maximum count as tied; ties resolve to
 # the lowest grid index so plateaus still give a reproducible direction.
 TIE_TOL = 1e-12
+
+# Bytes of one slice of complex dAB x dAB blocks in a grid pass.
+STACK_BYTES = 8 * 2**20
 
 
 def grid_tolerance(grid) -> float:
@@ -130,10 +132,7 @@ class DeltaResult:
 
 
 def _check_grid(grid) -> tuple[int, int]:
-    try:
-        nx, nt = map(operator.index, grid)
-    except TypeError:
-        raise ValueError(f"grid resolution must be integers, got {grid!r}") from None
+    nx, nt = as_ints(grid, "grid resolution")
     if nx < 1 or nt < 1:
         raise ValueError(f"grid resolution must be positive, got {(nx, nt)}")
     return nx, nt
@@ -213,11 +212,19 @@ def _contract(blocks: np.ndarray, bras: np.ndarray, kets: np.ndarray) -> np.ndar
     return np.einsum("nc,cdab,nd->nab", bras, blocks, kets, optimize=True)
 
 
-def _first_outcomes(rho: DensityMatrix, grid) -> np.ndarray:
-    """Stacked first-outcome blocks <v_n|_C rho |v_n>_C = p_n sigma_n,
-    (N, dAB, dAB), over the grid directions in flat grid order."""
-    kets = direction_kets(rho.dims[2], grid)
-    return _contract(c_blocks(rho), kets.conj(), kets)
+def _slices(n: int, side: int) -> list[slice]:
+    """Contiguous slices of range(n), each holding at most STACK_BYTES of complex
+    side x side blocks (one at least).  Lengths differ by one at most: a slice
+    of a few rows would take another BLAS path in ``_contract`` and move low bits."""
+    count = -(-n // max(1, STACK_BYTES // (16 * side**2)))
+    return [slice(n * i // count, n * (i + 1) // count) for i in range(count)]
+
+
+def _first_outcomes(rho: DensityMatrix, grid):
+    """Yield the first-outcome blocks <v_n|_C rho |v_n>_C = p_n sigma_n, slice by slice."""
+    kets, blocks = direction_kets(rho.dims[2], grid), c_blocks(rho)
+    for s in _slices(len(kets), rho.side // rho.dims[2]):
+        yield _contract(blocks, kets[s].conj(), kets[s])
 
 
 def _traces(k: np.ndarray) -> np.ndarray:
@@ -341,9 +348,11 @@ def _schmidt_outcomes(psi: PureState, measure: MeasureKind, grid, complement: bo
     if dc == 2:
         return probs[:n], first, first + values[n:]
     # a qutrit C leaves the rank-two complement rho_AB - |phi_n><phi_n|
-    flat = phi.reshape(n, -1, 1)
-    rest = amps @ amps.conj().T - flat * flat.conj().transpose(0, 2, 1)
-    return probs, first, first + _weighted_values(rest, measure, (da, db))
+    ket = phi.reshape(n, -1, 1)
+    bra, rho_ab = ket.conj().transpose(0, 2, 1), amps @ amps.conj().T
+    rest = [_weighted_values(rho_ab - ket[s] * bra[s], measure, (da, db))
+            for s in _slices(n, da * db)]
+    return probs, first, first + np.concatenate(rest)
 
 
 def _grid_outcomes(state, measure: MeasureKind, grid, complement=True):
@@ -358,16 +367,16 @@ def _grid_outcomes(state, measure: MeasureKind, grid, complement=True):
     if isinstance(state, PureState):
         return _schmidt_outcomes(state, measure, grid, complement)
     rho = as_tripartite(state)
-    dims_ab = rho.dims[:2]
-    k = _first_outcomes(rho, grid)
-    p = _traces(k)
-    first = _weighted_values(k, measure, dims_ab)
-    if not complement:
-        return p, first, None
-    # The complement block rho_AB - <v|rho|v> overwrites the first one,
-    # so the pass never holds a second (N, dAB, dAB) stack.
-    np.subtract(_partial_trace_array(rho.data, rho.dims, (0, 1)), k, out=k)
-    return p, first, first + _weighted_values(k, measure, dims_ab)
+    dims_ab, rho_ab = rho.dims[:2], _partial_trace_array(rho.data, rho.dims, (0, 1))
+    p, first, rest = [], [], []
+    for k in _first_outcomes(rho, grid):
+        p.append(_traces(k))
+        first.append(_weighted_values(k, measure, dims_ab))
+        if complement:
+            # the complement block rho_AB - <v|rho|v> overwrites the first one
+            rest.append(_weighted_values(np.subtract(rho_ab, k, out=k), measure, dims_ab))
+    first = np.concatenate(first)
+    return np.concatenate(p), first, (first + np.concatenate(rest)) if complement else None
 
 
 def _floor(gval: float, probs: np.ndarray, first: np.ndarray) -> float:

@@ -11,6 +11,7 @@ All entropies are in bits (log base 2).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,16 @@ RANK_TOL = 1e-8
 PURITY_TOL = 1e-10
 
 _LETTERS = "ABCDEFGH"
+
+
+def as_ints(values, what: str) -> tuple[int, ...]:
+    """Python or NumPy integers as a tuple of int; bool and the rest raise ValueError."""
+    try:
+        if any(isinstance(v, bool) for v in values):
+            raise TypeError
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be integers, got {values!r}") from None
 
 
 def _as_array(m) -> np.ndarray:
@@ -61,7 +72,7 @@ class DensityMatrix:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = as_ints(self.dims, "subsystem dimensions")
         mat = np.array(self.data, dtype=complex, order="C")
         if not np.all(np.isfinite(mat)):
             raise ValueError("density matrix has NaN or infinite entries")
@@ -108,7 +119,7 @@ class PureState:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = as_ints(self.dims, "subsystem dimensions")
         vec = np.array(self.amp, dtype=complex).reshape(-1)
         if not np.all(np.isfinite(vec)):
             raise ValueError("amplitudes have NaN or infinite entries")

@@ -1,5 +1,7 @@
 """Certification: separability scans, discord, fixed points, rank audit."""
 
+from importlib import import_module
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,9 @@ from classent.certify import (
 from classent.matcore import DensityMatrix, kron
 
 GRID = (24, 8)
+
+# the module itself: the package's classicalize() function shadows its name
+ccl = import_module("classent.classicalize")
 
 
 def cq_state(rng, basis, weights):
@@ -127,6 +132,22 @@ class TestZeroDiscord:
         phi[[0, 4, 8]] = 1 / np.sqrt(3)
         rho = DensityMatrix(0.5 * np.outer(phi, phi.conj()) + 0.5 * np.eye(12) / 12, (2, 2, 3))
         assert zero_discord_check(rho, GRID).status == "undecided"
+
+    @pytest.mark.parametrize("case", ["tilde", "upb", "degenerate-yes"])
+    def test_grid_search_slices_match_one_batch(self, monkeypatch, case):
+        # 7 blocks a slice: the degenerate state's hit sits at flat index 54,
+        # inside the ninth slice of the 225 directions
+        h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+        st = cq_state(np.random.default_rng(2), h, (0.5, 0.5)) if case == "degenerate-yes" \
+            else states.parse_state_spec(case)
+        reports = []
+        for rows in (7, 225):
+            with monkeypatch.context() as m:
+                m.setattr(ccl, "STACK_BYTES", rows * 16 * 4**2)
+                rep = zero_discord_check(st, GRID)
+            reports.append((rep.status, None if rep.basis is None else rep.basis.tobytes()))
+        assert reports[0] == reports[1]
+        assert reports[0][0] == ("yes" if case == "degenerate-yes" else "undecided")
 
     def test_mixture_of_ghz_w_is_not_classical(self):
         rep = zero_discord_check(states.ghz_w_mixture(0.5), GRID)

@@ -1,6 +1,7 @@
 """The classicalization channel and the grid optimization of delta."""
 
 import tracemalloc
+from importlib import import_module
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from classent import states
+from classent.certify import condition1_check
 from classent.classicalize import (
     MeasurementDirection,
     _direction_at,
     _first_outcomes,
     _grid_outcomes,
     _ppt_by_det,
+    _slices,
     _weighted_values,
     classicalize,
     delta,
@@ -32,6 +35,9 @@ from classent.matcore import (
     kron,
 )
 from classent.measures import NEG_EIG_THRESHOLD, MeasureKind, post_value
+
+# the module itself: the package's classicalize() function shadows its name
+ccl = import_module("classent.classicalize")
 
 # small even grid: closed under qubit complements, fast enough for loops
 GRID = (24, 8)
@@ -187,7 +193,8 @@ class TestDelta:
             delta(states.ghz_w_mixture(0.5), MeasureKind.SQUASHED, (4, 2))
 
     @pytest.mark.parametrize(
-        "grid", [(0, 5), (24.7, 8), ("3", 2), (np.inf, 2)], ids=["zero", "float", "str", "inf"]
+        "grid", [(0, 5), (24.7, 8), ("3", 2), (np.inf, 2), (True, 2)],
+        ids=["zero", "float", "str", "inf", "bool"],
     )
     def test_rejects_bad_grid(self, grid):
         # a non-integer entry is refused, not truncated or overflowed
@@ -364,7 +371,7 @@ class TestDeterminantScreen:
         slack = np.diag([-9e-10, -9e-10, 1e-3, 1e-3]).astype(complex)
         rest = (1 - np.trace(slack).real) * np.eye(4) / 4
         rho = kron(slack, np.diag([1.0, 0.0])) + kron(rest, np.diag([0.0, 1.0]))
-        k = _first_outcomes(DensityMatrix(rho, (2, 2, 2)), GRID)
+        k = np.concatenate([*_first_outcomes(DensityMatrix(rho, (2, 2, 2)), GRID)])
         want = _eigen_route(k)
         assert want.max() > 0
         assert _weighted_values(k, MeasureKind.NEGATIVITY, (2, 2)).tobytes() == want.tobytes()
@@ -381,7 +388,7 @@ class TestDeterminantScreen:
         for st in sts:
             rho = st if isinstance(st, DensityMatrix) else st.projector()
             dims_ab = rho.dims[:2]
-            first = _first_outcomes(rho, (48, 16))
+            first = np.concatenate([*_first_outcomes(rho, (48, 16))])
             rest = _partial_trace_array(rho.data, rho.dims, (0, 1)) - first
             for k in (first, rest):
                 got = _weighted_values(k, MeasureKind.NEGATIVITY, dims_ab)
@@ -449,6 +456,71 @@ class TestSchmidtKernel:
         assert res.delta <= res.upper_bound + 1e-9
         assert res.upper_bound <= res.global_value + 1e-9
         assert peak < 128 * 2**20
+
+
+def _in_slices(monkeypatch, rows, side, fn):
+    """fn() with the slice budget set to ``rows`` complex side x side blocks."""
+    with monkeypatch.context() as m:
+        m.setattr(ccl, "STACK_BYTES", rows * 16 * side**2)
+        return fn()
+
+
+class TestChunkedPass:
+    # 7 rows split the 225 directions of GRID and the 234 of (25, 8) into
+    # slices of 6 and 7 blocks
+    @pytest.mark.parametrize("build, grid", [
+        (lambda rng: states.random_density_matrix((2, 2, 2), rng), GRID),
+        (lambda rng: states.flower_state(3), GRID),
+        (lambda rng: states.random_pure_state((2, 2, 3), rng), GRID),
+        (lambda rng: states.random_density_matrix((2, 2, 2), rng), (25, 8)),
+    ], ids=["mixed", "flower:3", "pure-qutrit-c", "odd-grid"])
+    def test_slices_match_one_batch(self, monkeypatch, build, grid):
+        st = build(np.random.default_rng(3))
+        side = st.dims[0] * st.dims[1]
+        n = len(direction_kets(st.dims[2], grid))
+
+        def lengths():
+            return {len(range(n)[s]) for s in _slices(n, side)}
+
+        def blocks():
+            return np.concatenate([*_first_outcomes(st, grid)]).tobytes()
+
+        def outcomes(measure, complement):
+            return [a.tobytes() for a in _grid_outcomes(st, measure, grid, complement)
+                    if a is not None]
+
+        def sliced(fn, rows=7):
+            return _in_slices(monkeypatch, rows, side, fn)
+
+        assert sliced(lengths) == {6, 7}
+        if isinstance(st, DensityMatrix):
+            assert sliced(blocks) == sliced(blocks, n)
+        for measure in MeasureKind:
+            for complement in (True, False):
+                def run():
+                    return outcomes(measure, complement)
+                assert sliced(run) == sliced(run, n)
+
+    @pytest.mark.parametrize("spec", ["tilde", "ghz"])
+    def test_condition1_reports_match_one_batch(self, monkeypatch, spec):
+        st = states.parse_state_spec(spec)
+
+        def run():
+            return condition1_check(st, GRID)
+
+        assert _in_slices(monkeypatch, 7, 4, run) == _in_slices(monkeypatch, 225, 4, run)
+
+    def test_flower5_memory_is_bounded(self):
+        # the whole-stack pass held two (15351, 25, 25) stacks, 146 MiB each
+        st = states.parse_state_spec("flower:5")
+        tracemalloc.start()
+        try:
+            res = delta(st)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(res.delta) <= 1e-9
+        assert peak < 64 * 2**20
 
 
 def _haar_unitary(rng, d):

@@ -109,6 +109,16 @@ def test_rejects_dimension_one_subsystem(build):
         build(data, (1, 8))
 
 
+@pytest.mark.parametrize("build", [DensityMatrix, PureState])
+@pytest.mark.parametrize("bad", [2.7, "2", True], ids=["float", "str", "bool"])
+def test_rejects_non_integer_dims(build, bad):
+    # truncating 2.7 or "2" to 2 would build a 2 x 4 state; True is no dimension
+    e0 = np.eye(8)[0]
+    data = np.outer(e0, e0) if build is DensityMatrix else e0
+    with pytest.raises(ValueError, match="subsystem dimensions must be integers"):
+        build(data, (bad, 4))
+
+
 class TestBipartition:
     def test_label(self):
         assert Bipartition((0, 1), (2,)).label() == "AB|C"
