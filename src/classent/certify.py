@@ -13,8 +13,8 @@ Three independent certificates are implemented:
 
 Verdicts are conservative: "separable" is only ever claimed where the
 PPT criterion is decisive, and the discord test answers "undecided"
-rather than guessing when a degenerate marginal defeats its basis
-search.
+rather than guessing when a degenerate marginal leaves its exact
+candidate bases unconfirmed.
 """
 
 from __future__ import annotations
@@ -23,19 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classicalize import (
-    DEFAULT_GRID,
-    ZERO_PROB,
-    MeasurementDirection,
-    _check_grid,
-    _contract,
-    _direction_at,
-    _first_outcomes,
-    _slices,
-    _traces,
-    c_blocks,
-    direction_kets,
-)
+from .classicalize import DEFAULT_GRID, ZERO_PROB, MeasurementDirection, _check_grid, _contract
+from .classicalize import _direction_at, _first_outcomes, _traces, c_blocks
 from .matcore import _partial_transpose_array
 from .matcore import as_tripartite, is_pure, numeric_rank, partial_trace, tripartite_cuts
 from .measures import PPT_TOL, SeparabilityVerdict, ppt_verdict
@@ -44,8 +33,11 @@ from .measures import PPT_TOL, SeparabilityVerdict, ppt_verdict
 BLOCK_TOL = 1e-10
 
 # Marginal eigenvalues closer than this leave the diagonalizing basis
-# ambiguous, so the discord test falls back to a search.
+# ambiguous, so a qubit C gets a second candidate, the Pauli axis.
 DEGENERACY_GAP = 1e-8
+
+# sigma_x, sigma_y, sigma_z
+_PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 @dataclass(frozen=True)
@@ -109,42 +101,42 @@ class DiscordReport:
     basis: np.ndarray | None
 
 
-def zero_discord_check(state, grid=DEFAULT_GRID) -> DiscordReport:
+def _dephasing_fixes(blocks: np.ndarray, basis: np.ndarray) -> bool:
+    """Whether every off-diagonal block <b_i|rho|b_j>, i != j, is within BLOCK_TOL."""
+    i, j = np.nonzero(~np.eye(len(basis), dtype=bool))
+    return float(np.max(np.abs(_contract(blocks, basis.conj().T[i], basis.T[j])))) <= BLOCK_TOL
+
+
+def zero_discord_check(state) -> DiscordReport:
     """Decide whether rho = sum_i p_i sigma_i (x) |b_i><b_i| for some basis.
 
-    The candidate basis must diagonalize the C marginal, so its
-    eigenbasis is checked first; that certificate is valid even for a
-    degenerate marginal.  If it fails, a nondegenerate marginal makes
-    "no" exact, and so does a globally pure state.  Only a mixed state
-    with a degenerate marginal falls back to a grid search over qubit
-    bases, which returns yes or undecided, never a false no.
+    The basis must diagonalize the C marginal, so its eigenbasis is
+    checked first; that certificate is valid even for a degenerate
+    marginal.  If it fails, a nondegenerate marginal makes "no" exact,
+    and so does a globally pure state.  A mixed state with a degenerate
+    qubit marginal has one exact candidate left (Dakic, Vedral, Brukner
+    2010).  With A_k = tr_C[(1 (x) sigma_k) rho], dephasing along the
+    Bloch axis n maps rho = (A_0 (x) 1 + sum_k A_k (x) sigma_k)/2 to
+    (A_0 (x) 1 + (n.A) (x) (n.sigma))/2, so rho is fixed iff A_k = n_k (n.A)
+    for all k; then tr(A_j A_k) = n_j n_k tr((n.A)^2), whose top
+    eigenvector is +-n.  A failed candidate or a qutrit C is "undecided".
     """
     rho = as_tripartite(state)
-    dc = rho.dims[2]
     blocks = c_blocks(rho)
-    rho_c = partial_trace(rho, (2,)).data
-    w, basis = np.linalg.eigh(rho_c)
-    # every off-diagonal block <b_i|rho|b_j>, i != j, of the eigenbasis
-    i, j = np.nonzero(~np.eye(dc, dtype=bool))
-    off = _contract(blocks, basis.conj().T[i], basis.T[j])
-    if float(np.max(np.abs(off))) <= BLOCK_TOL:
+    w, basis = np.linalg.eigh(partial_trace(rho, (2,)).data)
+    if _dephasing_fixes(blocks, basis):
         return DiscordReport("yes", basis)
-    if is_pure(rho):
-        # A pure state is classical on C only if it is a product across
-        # AB|C, and then the marginal eigenbasis above already passed.
+    # A pure state is classical on C only if it is a product across AB|C,
+    # and then the marginal eigenbasis above already passed.
+    if is_pure(rho) or float(np.min(np.diff(w))) > DEGENERACY_GAP:
         return DiscordReport("no", None)
-    if float(np.min(np.diff(w))) > DEGENERACY_GAP:
-        return DiscordReport("no", None)
-    if dc != 2:
+    if rho.dims[2] != 2:
         return DiscordReport("undecided", None)
-    kets = direction_kets(2, grid)
-    perps = np.stack([-kets[:, 1].conj(), kets[:, 0].conj()], axis=-1)
-    for s in _slices(len(kets), rho.side // 2):
-        cross = _contract(blocks, kets[s].conj(), perps[s])
-        hits = np.nonzero(np.abs(cross).reshape(len(cross), -1).max(axis=1) <= BLOCK_TOL)[0]
-        if hits.size:
-            n = s.start + int(hits[0])
-            return DiscordReport("yes", np.stack([kets[n], perps[n]], axis=-1))
+    a = np.einsum("kcd,dcab->kab", _PAULIS, blocks)
+    axis = np.linalg.eigh(np.einsum("jab,kba->jk", a, a).real)[1][:, -1]
+    basis = np.linalg.eigh(np.einsum("k,kcd->cd", axis, _PAULIS))[1]
+    if _dephasing_fixes(blocks, basis):
+        return DiscordReport("yes", basis)
     return DiscordReport("undecided", None)
 
 
@@ -239,7 +231,7 @@ def certify_state(state, grid=DEFAULT_GRID) -> CertReport:
         condition1 = condition1_check(rho, grid=grid)
     except ValueError as exc:
         skipped = str(exc)
-    discord = zero_discord_check(rho, grid=grid)
+    discord = zero_discord_check(rho)
     basis = discord.basis if discord.status == "yes" else None
     residual = fixed_point_check(rho, basis)
     ranks = rank_report(rho, condition1_pass=condition1 is not None and condition1.passed)

@@ -63,7 +63,7 @@ STACK_BYTES = 8 * 2**20
 
 def grid_tolerance(grid) -> float:
     """Heuristic angular resolution of a grid, pi/n_x + pi/n_t."""
-    nx, nt = grid
+    nx, nt = _check_grid(grid)
     return np.pi / nx + np.pi / nt
 
 

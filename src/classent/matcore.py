@@ -154,8 +154,8 @@ class Bipartition:
     right: tuple[int, ...]
 
     def __post_init__(self):
-        left = tuple(int(i) for i in self.left)
-        right = tuple(int(i) for i in self.right)
+        left = as_ints(self.left, "bipartition blocks")
+        right = as_ints(self.right, "bipartition blocks")
         if not left or not right:
             raise ValueError("both blocks of a bipartition must be nonempty")
         if set(left) & set(right):
@@ -230,7 +230,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     DensityMatrix
         Reduced state on the kept subsystems, in their original order.
     """
-    keep = tuple(int(i) for i in keep)
+    keep = as_ints(keep, "kept subsystems")
     n = rho.n_subsystems
     if not keep:
         raise ValueError("cannot trace out everything")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matcore import DensityMatrix, PureState, kron
+from .matcore import DensityMatrix, PureState, as_ints, kron
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -27,7 +27,7 @@ _SQRT2 = np.sqrt(2.0)
 
 def ghz_state(d: int = 2) -> PureState:
     """GHZ state sum_i |iii> / sqrt(d) on three d-level systems."""
-    d = int(d)
+    (d,) = as_ints((d,), "local dimension")
     if d < 2:
         raise ValueError(f"local dimension must be >= 2, got {d}")
     amp = np.zeros(d**3, dtype=complex)
@@ -73,7 +73,7 @@ def bell_pairs(n: int) -> PureState:
     amplitudes sit on |x>_A |x_1..x_{n-1}>_B |x_n>_C for every bit
     string x.
     """
-    n = int(n)
+    (n,) = as_ints((n,), "number of pairs")
     if n < 2:
         raise ValueError(f"need at least 2 pairs so that B is nonempty, got n={n}")
     if n > 4:
@@ -114,7 +114,7 @@ def flower_state(d: int) -> DensityMatrix:
     computational basis leaves the state unchanged, yet discarding the
     outcome labels leaves the maximally mixed, fully separable rho_AB.
     """
-    d = int(d)
+    (d,) = as_ints((d,), "local dimension")
     if d < 2:
         raise ValueError(f"local dimension must be >= 2, got {d}")
     if d * d * 2 > 256:
@@ -284,7 +284,7 @@ def heisenberg_thermal(temperature: float) -> DensityMatrix:
 
 def random_pure_state(dims, rng: np.random.Generator) -> PureState:
     """Haar-distributed pure state from a normalized complex Gaussian."""
-    dims = tuple(int(d) for d in dims)
+    dims = as_ints(dims, "subsystem dimensions")
     size = int(np.prod(dims))
     vec = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     return PureState(vec / np.linalg.norm(vec), dims)
@@ -292,7 +292,7 @@ def random_pure_state(dims, rng: np.random.Generator) -> PureState:
 
 def random_density_matrix(dims, rng: np.random.Generator) -> DensityMatrix:
     """Random full-rank mixed state G G^dag / tr(G G^dag), G square Gaussian."""
-    dims = tuple(int(d) for d in dims)
+    dims = as_ints(dims, "subsystem dimensions")
     size = int(np.prod(dims))
     g = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
     mat = g @ g.conj().T

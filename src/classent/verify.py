@@ -186,7 +186,7 @@ def check_flower_lock(seed, grid):
         st = states.flower_state(d)
         res = delta(st, MeasureKind.NEGATIVITY, grid)
         dv, up = res.delta, res.upper_bound
-        disc = zero_discord_check(st, grid)
+        disc = zero_discord_check(st)
         resid = fixed_point_check(st, disc.basis if disc.status == "yes" else None)
         margins += [1e-10 - abs(dv), up - 0.1, 1e-12 - resid]
         ok = ok and disc.status == "yes"

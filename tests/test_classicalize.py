@@ -200,6 +200,8 @@ class TestDelta:
         # a non-integer entry is refused, not truncated or overflowed
         with pytest.raises(ValueError, match="grid resolution"):
             delta(states.ghz_state(), MeasureKind.NEGATIVITY, grid)
+        with pytest.raises(ValueError, match="grid resolution"):
+            grid_tolerance(grid)
 
     def test_qutrit_c_supported(self):
         res = delta(states.ghz_state(3), MeasureKind.NEGATIVITY, (30, 10))

@@ -119,6 +119,22 @@ def test_rejects_non_integer_dims(build, bad):
         build(data, (bad, 4))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda bad: Bipartition((bad, 1), (2,)),
+        lambda bad: Bipartition((0, 1), (bad,)),
+        lambda bad: partial_trace(DensityMatrix(np.eye(8) / 8, (2, 2, 2)), (bad, 1)),
+    ],
+    ids=["left", "right", "keep"],
+)
+@pytest.mark.parametrize("bad", [0.7, 2.5, "1", True], ids=["float", "half", "str", "bool"])
+def test_rejects_non_integer_indices(build, bad):
+    # truncating 0.7 to 0 would name the AB|C cut; True is no subsystem index
+    with pytest.raises(ValueError, match="must be integers"):
+        build(bad)
+
+
 class TestBipartition:
     def test_label(self):
         assert Bipartition((0, 1), (2,)).label() == "AB|C"

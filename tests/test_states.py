@@ -69,6 +69,24 @@ def test_bell_pairs_marginals_maximally_mixed():
     np.testing.assert_allclose(red_b.data, np.eye(2) / 2, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        states.ghz_state,
+        states.flower_state,
+        states.bell_pairs,
+        lambda bad: states.random_pure_state((2, bad, 2), np.random.default_rng(0)),
+        lambda bad: states.random_density_matrix((2, bad, 2), np.random.default_rng(0)),
+    ],
+    ids=["ghz", "flower", "bells", "random-pure", "random-mixed"],
+)
+@pytest.mark.parametrize("bad", [2.7, 3.9, True], ids=["float", "float-high", "bool"])
+def test_factories_reject_non_integer_sizes(build, bad):
+    # truncation would build a smaller state than the one asked for
+    with pytest.raises(ValueError, match="must be integers"):
+        build(bad)
+
+
 def test_qutrit_symmetric_support():
     psi = states.qutrit_symmetric_state()
     idx = sorted(np.nonzero(psi.amp)[0])
