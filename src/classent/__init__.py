@@ -28,7 +28,6 @@ from .classicalize import (
     delta,
     ensemble_values,
     global_value,
-    grid_tolerance,
     lower_bound,
     upper_bound,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "ensemble_values",
     "fixed_point_check",
     "global_value",
-    "grid_tolerance",
     "kron",
     "lower_bound",
     "negativity",

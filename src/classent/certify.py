@@ -32,8 +32,8 @@ from .measures import PPT_TOL, SeparabilityVerdict, ppt_verdict
 # Off-diagonal C-blocks below this size count as vanished.
 BLOCK_TOL = 1e-10
 
-# Marginal eigenvalues closer than this leave the diagonalizing basis
-# ambiguous, so a qubit C gets a second candidate, the Pauli axis.
+# Marginal eigenvalues farther apart than this fix the diagonalizing basis,
+# so failed candidates mean "no"; closer ones leave it open ("undecided").
 DEGENERACY_GAP = 1e-8
 
 # sigma_x, sigma_y, sigma_z
@@ -112,14 +112,14 @@ def zero_discord_check(state) -> DiscordReport:
 
     The basis must diagonalize the C marginal, so its eigenbasis is
     checked first; that certificate is valid even for a degenerate
-    marginal.  If it fails, a nondegenerate marginal makes "no" exact,
-    and so does a globally pure state.  A mixed state with a degenerate
-    qubit marginal has one exact candidate left (Dakic, Vedral, Brukner
-    2010).  With A_k = tr_C[(1 (x) sigma_k) rho], dephasing along the
-    Bloch axis n maps rho = (A_0 (x) 1 + sum_k A_k (x) sigma_k)/2 to
+    marginal.  If it fails, a globally pure state is "no".  A mixed
+    state with a qubit C has one exact candidate left (Dakic, Vedral,
+    Brukner 2010).  With A_k = tr_C[(1 (x) sigma_k) rho], dephasing along
+    the Bloch axis n maps rho = (A_0 (x) 1 + sum_k A_k (x) sigma_k)/2 to
     (A_0 (x) 1 + (n.A) (x) (n.sigma))/2, so rho is fixed iff A_k = n_k (n.A)
     for all k; then tr(A_j A_k) = n_j n_k tr((n.A)^2), whose top
-    eigenvector is +-n.  A failed candidate or a qutrit C is "undecided".
+    eigenvector is +-n; it also catches a nearly degenerate marginal, whose
+    eigh basis is too coarse.  Then a nondegenerate marginal is "no", the rest "undecided".
     """
     rho = as_tripartite(state)
     blocks = c_blocks(rho)
@@ -128,15 +128,16 @@ def zero_discord_check(state) -> DiscordReport:
         return DiscordReport("yes", basis)
     # A pure state is classical on C only if it is a product across AB|C,
     # and then the marginal eigenbasis above already passed.
-    if is_pure(rho) or float(np.min(np.diff(w))) > DEGENERACY_GAP:
+    if is_pure(rho):
         return DiscordReport("no", None)
-    if rho.dims[2] != 2:
-        return DiscordReport("undecided", None)
-    a = np.einsum("kcd,dcab->kab", _PAULIS, blocks)
-    axis = np.linalg.eigh(np.einsum("jab,kba->jk", a, a).real)[1][:, -1]
-    basis = np.linalg.eigh(np.einsum("k,kcd->cd", axis, _PAULIS))[1]
-    if _dephasing_fixes(blocks, basis):
-        return DiscordReport("yes", basis)
+    if rho.dims[2] == 2:
+        a = np.einsum("kcd,dcab->kab", _PAULIS, blocks)
+        axis = np.linalg.eigh(np.einsum("jab,kba->jk", a, a).real)[1][:, -1]
+        basis = np.linalg.eigh(np.einsum("k,kcd->cd", axis, _PAULIS))[1]
+        if _dephasing_fixes(blocks, basis):
+            return DiscordReport("yes", basis)
+    if float(np.min(np.diff(w))) > DEGENERACY_GAP:
+        return DiscordReport("no", None)
     return DiscordReport("undecided", None)
 
 

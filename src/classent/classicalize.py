@@ -61,12 +61,6 @@ TIE_TOL = 1e-12
 STACK_BYTES = 8 * 2**20
 
 
-def grid_tolerance(grid) -> float:
-    """Heuristic angular resolution of a grid, pi/n_x + pi/n_t."""
-    nx, nt = _check_grid(grid)
-    return np.pi / nx + np.pi / nt
-
-
 @dataclass(frozen=True)
 class MeasurementDirection:
     """One grid direction on C, identified by its angles and grid index."""

@@ -191,12 +191,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    grid = _parse_grid(args.grid)
-    results = run_suite(args.suite, seed=args.seed, grid=grid)
+    results = run_suite(args.suite, seed=args.seed)
     passed = all(r.passed for r in results)
     payload = {
         "suite": args.suite,
-        "grid": list(grid),
+        "grid": list(DEFAULT_GRID),
         "seed": args.seed,
         "passed": passed,
         "checks": [asdict(r) for r in results],
@@ -263,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the certification battery")
     p.add_argument("suite", nargs="?", default="all", choices=list(SUITES))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grid", default=_DEFAULT_GRID_FLAG, metavar="NX,NT")
     p.add_argument("--format", choices=["json", "plain"], default="plain")
     p.add_argument("--output", metavar="PATH")
     p.set_defaults(func=cmd_verify)

@@ -43,6 +43,14 @@ def as_ints(values, what: str) -> tuple[int, ...]:
         raise ValueError(f"{what} must be integers, got {values!r}") from None
 
 
+def _as_dims(dims) -> tuple[int, ...]:
+    """Subsystem dimensions as ints: at least one, each >= 2, or ValueError."""
+    dims = as_ints(dims, "subsystem dimensions")
+    if not dims or any(d < 2 for d in dims):
+        raise ValueError(f"subsystem dimensions must be >= 2, one or more; got {dims}")
+    return dims
+
+
 def _as_array(m) -> np.ndarray:
     """Unwrap DensityMatrix-like objects to their raw matrix."""
     if isinstance(m, np.ndarray):
@@ -72,7 +80,7 @@ class DensityMatrix:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = as_ints(self.dims, "subsystem dimensions")
+        dims = _as_dims(self.dims)
         mat = np.array(self.data, dtype=complex, order="C")
         if not np.all(np.isfinite(mat)):
             raise ValueError("density matrix has NaN or infinite entries")
@@ -81,8 +89,6 @@ class DensityMatrix:
             raise ValueError(
                 f"density matrix shape {mat.shape} does not match dims {dims}"
             )
-        if any(d < 2 for d in dims):
-            raise ValueError(f"subsystem dimensions must be >= 2, got {dims}")
         herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
         if herm_dev > HERM_TOL:
             raise ValueError(
@@ -119,7 +125,7 @@ class PureState:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = as_ints(self.dims, "subsystem dimensions")
+        dims = _as_dims(self.dims)
         vec = np.array(self.amp, dtype=complex).reshape(-1)
         if not np.all(np.isfinite(vec)):
             raise ValueError("amplitudes have NaN or infinite entries")
@@ -127,8 +133,6 @@ class PureState:
             raise ValueError(
                 f"amplitude length {vec.size} does not match dims {dims}"
             )
-        if any(d < 2 for d in dims):
-            raise ValueError(f"subsystem dimensions must be >= 2, got {dims}")
         norm_dev = abs(float(np.linalg.norm(vec)) - 1.0)
         if norm_dev > 1e-12:
             raise ValueError(f"norm deviates from 1 by {norm_dev:.3e} > 1e-12")

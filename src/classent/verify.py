@@ -5,6 +5,8 @@ on a body that returns ``(margin, detail, ok)``.  The margin is the
 distance to the check's tightest tolerance, positive on pass; the
 decorator times the body and builds the ``CheckResult``.  Checks run in
 definition order, and the acceptance tests drive the same registry.
+Every check runs at the library's ``DEFAULT_GRID``, the grid its
+tolerances are calibrated to, so the battery's only input is the seed.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from . import states
 from .certify import condition1_check, fixed_point_check, rank_report, zero_discord_check
-from .classicalize import DEFAULT_GRID, delta, ensemble_values, global_value, grid_tolerance
+from .classicalize import DEFAULT_GRID, delta, ensemble_values, global_value
 from .matcore import (
     Bipartition,
     DensityMatrix,
@@ -53,13 +55,13 @@ CHECKS: dict = {}
 
 
 def _check(name: str, *suites: str):
-    """Register a check body ``(seed, grid) -> (margin, detail, ok)``."""
+    """Register a check body ``seed -> (margin, detail, ok)``."""
 
     def register(body):
         @functools.wraps(body)
-        def run(seed=0, grid=DEFAULT_GRID) -> CheckResult:
+        def run(seed=0) -> CheckResult:
             started = time.perf_counter()
-            margin, detail, ok = body(seed, grid)
+            margin, detail, ok = body(seed)
             return CheckResult(
                 name, bool(ok and margin >= 0), float(margin),
                 time.perf_counter() - started, detail,
@@ -72,14 +74,14 @@ def _check(name: str, *suites: str):
 
 
 @_check("bells-locking")
-def check_bells_locking(seed, grid):
+def check_bells_locking(seed):
     """delta of n Bell pairs is 2^(n-2) + 1/2, independent of direction."""
     margins, notes, ok = [], [], True
     for n, want, budget in ((2, 1.5, 30.0), (3, 2.5, 120.0)):
         tn = time.perf_counter()
         st = states.bell_pairs(n)
         gval = global_value(st, MeasureKind.NEGATIVITY)
-        vals = ensemble_values(st, MeasureKind.NEGATIVITY, grid)
+        vals = ensemble_values(st, MeasureKind.NEGATIVITY)
         dev = abs(gval - float(vals.max()) - want)
         spread = float(vals.max() - vals.min())
         elapsed = time.perf_counter() - tn
@@ -90,7 +92,7 @@ def check_bells_locking(seed, grid):
 
 
 @_check("pair-saturation")
-def check_pair_saturation(seed, grid):
+def check_pair_saturation(seed):
     """Maximally entangled pair negativity reaches (d-1)/2."""
     devs = []
     for d in range(2, 6):
@@ -103,14 +105,14 @@ def check_pair_saturation(seed, grid):
 
 
 @_check("qutrit-values")
-def check_qutrit_values(seed, grid):
+def check_qutrit_values(seed):
     """Qutrit-C benchmark deltas for both measures."""
     devs, notes, ok = [], [], True
     for name, want_neg, want_sq in (("ghz3", 1.667, 0.792489), ("sym3", 1.86747, 0.971332)):
         tn = time.perf_counter()
         st = states.parse_state_spec(name)
-        dn = delta(st, MeasureKind.NEGATIVITY, grid).delta
-        ds = delta(st, MeasureKind.SQUASHED, grid).delta
+        dn = delta(st, MeasureKind.NEGATIVITY).delta
+        ds = delta(st, MeasureKind.SQUASHED).delta
         elapsed = time.perf_counter() - tn
         devs += [abs(dn - want_neg), abs(ds - want_sq)]
         ok = ok and elapsed <= 60.0
@@ -119,13 +121,13 @@ def check_qutrit_values(seed, grid):
 
 
 @_check("superposition-sweep")
-def check_superposition_sweep(seed, grid):
+def check_superposition_sweep(seed):
     """Sweeping the GHZ/W superposition: minimum near p=0.4, maximum at p=0."""
     ps = np.linspace(0.0, 1.0, 21)
     margins, notes = [], []
     for measure in (MeasureKind.NEGATIVITY, MeasureKind.SQUASHED):
         deltas = np.array(
-            [delta(states.ghz_w_superposition(p), measure, grid).delta for p in ps]
+            [delta(states.ghz_w_superposition(p), measure).delta for p in ps]
         )
         p_min = float(ps[int(np.argmin(deltas))])
         end_dev = abs(float(deltas[-1]) - 0.5)
@@ -140,11 +142,11 @@ def check_superposition_sweep(seed, grid):
     return min(margins), "; ".join(notes), True
 
 
-def _sandwich(sts, grid):
+def _sandwich(sts):
     """Margin, detail and verdict of lower <= delta <= upper <= global on ``sts``."""
     gaps = []
     for st in sts:
-        res = delta(st, MeasureKind.NEGATIVITY, grid)
+        res = delta(st, MeasureKind.NEGATIVITY)
         dv, up = res.delta, res.upper_bound
         gaps.append((dv - res.lower_bound, up - dv, res.global_value - up))
     gaps = np.array(gaps)
@@ -159,32 +161,31 @@ def _sandwich(sts, grid):
 
 
 @_check("sandwich-sweeps", "bounds")
-def check_sandwich_sweeps(seed, grid):
+def check_sandwich_sweeps(seed):
     """lower <= delta <= upper <= global along both benchmark sweeps."""
     return _sandwich(
         (
             states.parse_state_spec(f"{family}:{float(param)!r}")
             for family in ("psi", "rho")
             for param in np.linspace(0.0, 1.0, 21)
-        ),
-        grid,
+        )
     )
 
 
 @_check("sandwich-random", "bounds")
-def check_sandwich_random(seed, grid):
+def check_sandwich_random(seed):
     """The same chain on 200 seeded random three-qubit mixed states."""
     rng = np.random.default_rng(seed)
-    return _sandwich((states.random_density_matrix((2, 2, 2), rng) for _ in range(200)), grid)
+    return _sandwich((states.random_density_matrix((2, 2, 2), rng) for _ in range(200)))
 
 
 @_check("flower-lock")
-def check_flower_lock(seed, grid):
+def check_flower_lock(seed):
     """Flower states lose nothing despite entanglement across AB|C."""
     margins, ok, notes = [], True, []
     for d in (2, 3):
         st = states.flower_state(d)
-        res = delta(st, MeasureKind.NEGATIVITY, grid)
+        res = delta(st, MeasureKind.NEGATIVITY)
         dv, up = res.delta, res.upper_bound
         disc = zero_discord_check(st)
         resid = fixed_point_check(st, disc.basis if disc.status == "yes" else None)
@@ -195,17 +196,17 @@ def check_flower_lock(seed, grid):
 
 
 @_check("tilde-scan", "condition1")
-def check_tilde_scan(seed, grid):
+def check_tilde_scan(seed):
     """Every direction leaves the rank-4 PPT-invariant state separable."""
-    rep = condition1_check(states.tilde_state(), grid)
+    rep = condition1_check(states.tilde_state())
     detail = f"{rep.status} on {rep.directions_checked} directions, worst {rep.witness:.2e}"
     return rep.witness + PPT_TOL, detail, rep.passed
 
 
 @_check("ghz-scan-rejects", "condition1")
-def check_ghz_scan_rejects(seed, grid):
+def check_ghz_scan_rejects(seed):
     """The scan must catch GHZ: some direction leaves an NPT pair."""
-    rep = condition1_check(states.ghz_state(), grid)
+    rep = condition1_check(states.ghz_state())
     ok = rep.status == "fail" and rep.direction is not None
     angles = rep.direction.angle_dict() if rep.direction is not None else {}
     detail = f"{rep.status}, witness {rep.witness:.3f} at " + " ".join(
@@ -215,15 +216,15 @@ def check_ghz_scan_rejects(seed, grid):
 
 
 @_check("upb-scan", "condition1")
-def check_upb_scan(seed, grid):
+def check_upb_scan(seed):
     """The unextendible-product-basis state passes the full scan."""
-    rep = condition1_check(states.upb_state(), grid)
+    rep = condition1_check(states.upb_state())
     detail = f"{rep.status} on {rep.directions_checked} directions, worst {rep.witness:.2e}"
     return rep.witness + PPT_TOL, detail, rep.passed
 
 
 @_check("tilde-complete-loss", "zoo")
-def check_tilde_complete_loss(seed, grid):
+def check_tilde_complete_loss(seed):
     """Full certification of the rank-4 complete-loss state."""
     st = states.tilde_state()
     ranks = rank_report(st)
@@ -232,14 +233,15 @@ def check_tilde_complete_loss(seed, grid):
     pt_c_exact = bool(np.array_equal(pt_c, st.data))
     swap = [b * 4 + a * 2 + c for a in range(2) for b in range(2) for c in range(2)]
     swap_exact = bool(np.array_equal(st.data[np.ix_(swap, swap)], st.data))
-    rep = condition1_check(st, grid)
-    n_grid = (grid[0] + 1) * (grid[1] + 1)
-    res = delta(st, MeasureKind.NEGATIVITY, grid)
+    rep = condition1_check(st)
+    n_grid = (DEFAULT_GRID[0] + 1) * (DEFAULT_GRID[1] + 1)
+    res = delta(st, MeasureKind.NEGATIVITY)
     loss_dev = abs(res.delta - res.global_value)
+    # the even grid scans each direction's complement too: each outcome keeps <= 2 PPT_TOL p_i
     margin = min(
         1e-9 - abs(min_eig + 0.125),
         rep.witness + PPT_TOL,
-        2 * grid_tolerance(grid) - loss_dev,
+        1e-9 - loss_dev,
     )
     ok = (
         pt_c_exact
@@ -257,7 +259,7 @@ def check_tilde_complete_loss(seed, grid):
 
 
 @_check("zoo-ranks-ppt", "zoo")
-def check_zoo_ranks_ppt(seed, grid):
+def check_zoo_ranks_ppt(seed):
     """Ranks (4, 7, 8, 5) for the PPT zoo, PPT on every bipartition."""
     zoo = (states.upb_state(), states.adma_state(), states.ak_state(2.5), states.ph_state(1.0))
     reps = [rank_report(st) for st in zoo]
@@ -268,7 +270,7 @@ def check_zoo_ranks_ppt(seed, grid):
 
 
 @_check("hdk-cut-structure", "zoo")
-def check_hdk_cut_structure(seed, grid):
+def check_hdk_cut_structure(seed):
     """One PPT cut, two NPT cuts, and a rank-4 pair marginal."""
     rep = rank_report(states.hdk_state())
     w = {label: v.witness for label, v in rep.ppt.items()}
@@ -285,7 +287,7 @@ def check_hdk_cut_structure(seed, grid):
 
 
 @_check("thermal-window", "zoo")
-def check_thermal_window(seed, grid):
+def check_thermal_window(seed):
     """Hot ring PPT everywhere; cold ring clearly NPT."""
     hot_worst, cold_worst = (
         min(v.witness for v in rank_report(states.heisenberg_thermal(t)).ppt.values())
@@ -296,7 +298,7 @@ def check_thermal_window(seed, grid):
 
 
 @_check("oracle-agreement")
-def check_oracle_agreement(seed, grid):
+def check_oracle_agreement(seed):
     """Schmidt and eigenvalue negativity routes agree; so do the
     two-qubit reduction and the direct tripartite value."""
     rng = np.random.default_rng(seed)
@@ -318,7 +320,7 @@ def check_oracle_agreement(seed, grid):
 
 
 @_check("squashed-pure")
-def check_squashed_pure(seed, grid):
+def check_squashed_pure(seed):
     """Closed-form squashed values for GHZ and W."""
     dev_ghz = abs(squashed_pure_tripartite(states.ghz_state()) - 1.5)
     want_w = 1.5 * (np.log2(3.0) - 2.0 / 3.0)
@@ -330,12 +332,12 @@ def check_squashed_pure(seed, grid):
 SUITES = tuple(dict.fromkeys(s for _, suites in CHECKS.values() for s in suites)) + ("all",)
 
 
-def run_suite(suite: str, seed: int = 0, grid=DEFAULT_GRID):
+def run_suite(suite: str, seed: int = 0):
     """Run one named suite of the battery; "all" runs every check."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     return [
-        run(seed=seed, grid=grid)
+        run(seed=seed)
         for run, suites in CHECKS.values()
         if suite == "all" or suite in suites
     ]

@@ -23,7 +23,6 @@ from classent.classicalize import (
     direction_kets,
     ensemble_values,
     global_value,
-    grid_tolerance,
     lower_bound,
     upper_bound,
 )
@@ -80,9 +79,6 @@ class TestDirectionGrid:
         assert kets.shape[0] == 5 * 3
         for flat, k in enumerate(kets):
             np.testing.assert_allclose(_direction_at(2, (4, 2), flat).ket(), k, atol=1e-12)
-
-    def test_grid_tolerance_scales(self):
-        assert grid_tolerance((300, 50)) < grid_tolerance((30, 5))
 
 
 class TestClassicalize:
@@ -200,8 +196,6 @@ class TestDelta:
         # a non-integer entry is refused, not truncated or overflowed
         with pytest.raises(ValueError, match="grid resolution"):
             delta(states.ghz_state(), MeasureKind.NEGATIVITY, grid)
-        with pytest.raises(ValueError, match="grid resolution"):
-            grid_tolerance(grid)
 
     def test_qutrit_c_supported(self):
         res = delta(states.ghz_state(3), MeasureKind.NEGATIVITY, (30, 10))

@@ -203,6 +203,9 @@ class TestSweep:
             (("measure", "--state", "bells:inf"), "takes integer parameters"),
             (("measure", "--state", "flower:1e999"), "takes integer parameters"),
             (("measure", "--state", "bells:nan"), "takes integer parameters"),
+            # the battery runs at the default grid only
+            (("verify", "--grid", "8,4"), "invalid choice: '8,4'"),
+            (("verify", "condition1", "--grid", "8,4"), "unrecognized arguments: --grid 8,4"),
         ],
     )
     def test_malformed_flags(self, capsys, flags, message):
@@ -282,6 +285,7 @@ class TestVerify:
         assert code == 0
         payload = json.loads(out)
         assert payload["passed"] is True
+        assert payload["grid"] == [300, 50]
         names = [c["name"] for c in payload["checks"]]
         assert names == ["tilde-scan", "ghz-scan-rejects", "upb-scan"]
         for c in payload["checks"]:

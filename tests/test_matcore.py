@@ -110,6 +110,14 @@ def test_rejects_dimension_one_subsystem(build):
 
 
 @pytest.mark.parametrize("build", [DensityMatrix, PureState])
+def test_rejects_empty_dims(build):
+    # a 1x1 matrix is a valid state on zero subsystems, which nothing here handles
+    data = np.eye(1) if build is DensityMatrix else [1.0]
+    with pytest.raises(ValueError, match="subsystem dimensions must be >= 2"):
+        build(data, ())
+
+
+@pytest.mark.parametrize("build", [DensityMatrix, PureState])
 @pytest.mark.parametrize("bad", [2.7, "2", True], ids=["float", "str", "bool"])
 def test_rejects_non_integer_dims(build, bad):
     # truncating 2.7 or "2" to 2 would build a 2 x 4 state; True is no dimension
