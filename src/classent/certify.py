@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classicalize import DEFAULT_GRID, ZERO_PROB, MeasurementDirection, _check_grid, _contract
-from .classicalize import _direction_at, _first_outcomes, _traces, c_blocks
+from .classicalize import _direction_at, _first_outcomes, _traces, _unfold, c_blocks
 from .matcore import _partial_transpose_array
 from .matcore import as_tripartite, is_pure, numeric_rank, partial_trace, tripartite_cuts
 from .measures import PPT_TOL, SeparabilityVerdict, ppt_verdict
@@ -74,9 +74,9 @@ def condition1_check(state, grid=DEFAULT_GRID) -> Condition1Report:
     rho = as_tripartite(state)
     if rho.dims[:2] != (2, 2):
         raise ValueError(f"PPT not decisive for dims {rho.dims}; the scan needs qubit A and B")
-    probs, min_eigs = map(np.concatenate, zip(*(
+    probs, min_eigs = _unfold(grid, *map(np.concatenate, zip(*(
         (_traces(k), np.linalg.eigvalsh(_partial_transpose_array(k, (2, 2), (0,)))[:, 0])
-        for k in _first_outcomes(rho, grid))))
+        for k in _first_outcomes(rho, grid)))))
     mask = probs > ZERO_PROB
     witnesses = np.where(mask, min_eigs / np.where(mask, probs, 1.0), np.inf)
     checked, skipped = int(mask.sum()), int((~mask).sum())
@@ -110,33 +110,30 @@ def _dephasing_fixes(blocks: np.ndarray, basis: np.ndarray) -> bool:
 def zero_discord_check(state) -> DiscordReport:
     """Decide whether rho = sum_i p_i sigma_i (x) |b_i><b_i| for some basis.
 
-    The basis must diagonalize the C marginal, so its eigenbasis is
-    checked first; that certificate is valid even for a degenerate
-    marginal.  If it fails, a globally pure state is "no".  A mixed
-    state with a qubit C has one exact candidate left (Dakic, Vedral,
-    Brukner 2010).  With A_k = tr_C[(1 (x) sigma_k) rho], dephasing along
-    the Bloch axis n maps rho = (A_0 (x) 1 + sum_k A_k (x) sigma_k)/2 to
-    (A_0 (x) 1 + (n.A) (x) (n.sigma))/2, so rho is fixed iff A_k = n_k (n.A)
-    for all k; then tr(A_j A_k) = n_j n_k tr((n.A)^2), whose top
-    eigenvector is +-n; it also catches a nearly degenerate marginal, whose
-    eigh basis is too coarse.  Then a nondegenerate marginal is "no", the rest "undecided".
+    The basis must diagonalize the C marginal, so its eigenbasis is a candidate,
+    valid even for a degenerate marginal.  A mixed state with a qubit C has an
+    exact candidate, tried first (Dakic, Vedral, Brukner 2010).  With
+    A_k = tr_C[(1 (x) sigma_k) rho], dephasing along the Bloch axis n maps
+    rho = (A_0 (x) 1 + sum_k A_k (x) sigma_k)/2 to (A_0 (x) 1 + (n.A) (x) (n.sigma))/2,
+    so rho is fixed iff A_k = n_k (n.A) for all k; then tr(A_j A_k) = n_j n_k
+    tr((n.A)^2), whose top eigenvector is +-n.  It stays exact for a nearly
+    degenerate marginal, whose eigh basis is only good to ~1e-16/gap.  When no
+    candidate passes, a pure or nondegenerate state is "no", the rest "undecided".
     """
     rho = as_tripartite(state)
     blocks = c_blocks(rho)
     w, basis = np.linalg.eigh(partial_trace(rho, (2,)).data)
-    if _dephasing_fixes(blocks, basis):
-        return DiscordReport("yes", basis)
-    # A pure state is classical on C only if it is a product across AB|C,
-    # and then the marginal eigenbasis above already passed.
-    if is_pure(rho):
-        return DiscordReport("no", None)
-    if rho.dims[2] == 2:
+    candidates, pure = [basis], is_pure(rho)
+    if rho.dims[2] == 2 and not pure:
         a = np.einsum("kcd,dcab->kab", _PAULIS, blocks)
         axis = np.linalg.eigh(np.einsum("jab,kba->jk", a, a).real)[1][:, -1]
-        basis = np.linalg.eigh(np.einsum("k,kcd->cd", axis, _PAULIS))[1]
+        candidates.insert(0, np.linalg.eigh(np.einsum("k,kcd->cd", axis, _PAULIS))[1])
+    for basis in candidates:
         if _dephasing_fixes(blocks, basis):
             return DiscordReport("yes", basis)
-    if float(np.min(np.diff(w))) > DEGENERACY_GAP:
+    # A pure state is classical on C only if it is a product across AB|C,
+    # and then the marginal eigenbasis above already passed.
+    if pure or float(np.min(np.diff(w))) > DEGENERACY_GAP:
         return DiscordReport("no", None)
     return DiscordReport("undecided", None)
 

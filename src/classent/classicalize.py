@@ -28,6 +28,10 @@ positive is PPT and skips the eigensolve.  A ``PureState`` keeps its
 vector: each outcome is rank one, so the pass holds only the N dA dB
 amplitudes <v_n|_C psi and reads both measures from their Schmidt
 coefficients, which runs dAB = 128 (``bells:4``) in about 84 MiB.
+
+For a qubit C, v(pi - x, pi - t) = -conj v(x, t), so a real rho has at flat
+index N - 1 - m the conjugate of the block at m, with the same PT and marginal
+spectra: a pass evaluates the first ceil(N/2) directions and mirrors the rest.
 """
 
 from __future__ import annotations
@@ -214,9 +218,22 @@ def _slices(n: int, side: int) -> list[slice]:
     return [slice(n * i // count, n * (i + 1) // count) for i in range(count)]
 
 
+def _evaluated_kets(dim_c: int, grid, data: np.ndarray) -> np.ndarray:
+    """The grid kets to evaluate: the first ceil(N/2) for a qubit C and real data, else all."""
+    kets = direction_kets(dim_c, grid)
+    return kets[:(len(kets) + 1) // 2] if dim_c == 2 and not data.imag.any() else kets
+
+
+def _unfold(grid, *arrays):
+    """Full flat-grid arrays from their evaluated heads, entry N - 1 - m a copy of m."""
+    n = int(np.prod(np.add(_check_grid(grid), 1)))
+    return tuple(a if a is None or len(a) == n else np.concatenate([a, a[:n - len(a)][::-1]])
+                 for a in arrays)
+
+
 def _first_outcomes(rho: DensityMatrix, grid):
-    """Yield the first-outcome blocks <v_n|_C rho |v_n>_C = p_n sigma_n, slice by slice."""
-    kets, blocks = direction_kets(rho.dims[2], grid), c_blocks(rho)
+    """Yield <v_n|_C rho |v_n>_C = p_n sigma_n over ``_evaluated_kets``, slice by slice."""
+    kets, blocks = _evaluated_kets(rho.dims[2], grid, rho.data), c_blocks(rho)
     for s in _slices(len(kets), rho.side // rho.dims[2]):
         yield _contract(blocks, kets[s].conj(), kets[s])
 
@@ -327,7 +344,7 @@ def _schmidt_outcomes(psi: PureState, measure: MeasureKind, grid, complement: bo
     """``_grid_outcomes`` of a pure state from the amplitudes phi_n = <v_n|_C psi."""
     da, db, dc = psi.dims
     amps = psi.amp.reshape(da * db, dc)
-    kets = direction_kets(dc, grid)
+    kets = _evaluated_kets(dc, grid, psi.amp)
     n = len(kets)
     if complement and dc == 2:
         # 1 - |v><v| = |v'><v'| with v' = (-v_1^*, v_0^*), so it is rank one too
@@ -337,10 +354,8 @@ def _schmidt_outcomes(psi: PureState, measure: MeasureKind, grid, complement: bo
     probs = np.einsum("ni,ni->n", re_im, re_im)
     values = _schmidt_values(phi, measure, probs)
     first = values[:n]
-    if not complement:
-        return probs, first, None
-    if dc == 2:
-        return probs[:n], first, first + values[n:]
+    if dc == 2 or not complement:
+        return probs[:n], first, (first + values[n:]) if complement else None
     # a qutrit C leaves the rank-two complement rho_AB - |phi_n><phi_n|
     ket = phi.reshape(n, -1, 1)
     bra, rho_ab = ket.conj().transpose(0, 2, 1), amps @ amps.conj().T
@@ -352,14 +367,14 @@ def _schmidt_outcomes(psi: PureState, measure: MeasureKind, grid, complement: bo
 def _grid_outcomes(state, measure: MeasureKind, grid, complement=True):
     """One pass over the grid directions |v_n> on C, in flat grid order.
 
-    Returns the first-outcome probabilities p_n, the weighted first-outcome
-    values p_n E[sigma_n (x) |0><0|] and the ensemble values, which add the
-    complement outcome, or None without ``complement``.  A ``PureState``,
-    whose caller has checked it is tripartite, takes the Schmidt route; a
-    ``DensityMatrix`` takes the eigen route.
+    Returns the first-outcome probabilities p_n, the weighted values
+    p_n E[sigma_n (x) |0><0|] and the ensemble values, which add the complement
+    outcome, or None without ``complement``.  A ``PureState`` (tripartite, as its
+    caller checks) takes the Schmidt route, a ``DensityMatrix`` the eigen route;
+    both evaluate ``_evaluated_kets`` and ``_unfold`` a mirrored half pass.
     """
     if isinstance(state, PureState):
-        return _schmidt_outcomes(state, measure, grid, complement)
+        return _unfold(grid, *_schmidt_outcomes(state, measure, grid, complement))
     rho = as_tripartite(state)
     dims_ab, rho_ab = rho.dims[:2], _partial_trace_array(rho.data, rho.dims, (0, 1))
     p, first, rest = [], [], []
@@ -369,8 +384,8 @@ def _grid_outcomes(state, measure: MeasureKind, grid, complement=True):
         if complement:
             # the complement block rho_AB - <v|rho|v> overwrites the first one
             rest.append(_weighted_values(np.subtract(rho_ab, k, out=k), measure, dims_ab))
-    first = np.concatenate(first)
-    return np.concatenate(p), first, (first + np.concatenate(rest)) if complement else None
+    p, first = np.concatenate(p), np.concatenate(first)
+    return _unfold(grid, p, first, (first + np.concatenate(rest)) if complement else None)
 
 
 def _floor(gval: float, probs: np.ndarray, first: np.ndarray) -> float:

@@ -13,7 +13,7 @@ from classent.certify import (
     rank_report,
     zero_discord_check,
 )
-from classent.matcore import DensityMatrix, kron
+from classent.matcore import DensityMatrix, as_density, kron
 
 GRID = (24, 8)
 
@@ -63,6 +63,26 @@ class TestConditionScan:
             if p > 1e-12:
                 pt = k0.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)
                 assert np.linalg.eigvalsh(pt)[0] / p >= -1e-10
+
+    @pytest.mark.parametrize("spec", ["tilde", "upb", "ghz"])
+    def test_mirrored_scan_matches_the_full_scan_of_a_phase_image(self, spec):
+        # diag(1, i) on C shifts t by pi/2, which for even n_t maps the grid onto
+        # itself (wrapping through x -> pi - x); the image is complex, so its scan
+        # takes every direction while the real state's takes the first half
+        rho = as_density(states.parse_state_spec(spec))
+        u = kron(np.eye(4), np.diag([1, 1j]))
+        image = DensityMatrix(u @ rho.data @ u.conj().T, rho.dims)
+        assert image.data.imag.any()
+        got, want = condition1_check(rho, GRID), condition1_check(image, GRID)
+        assert (got.status, got.directions_checked, got.skipped) == \
+            (want.status, want.directions_checked, want.skipped)
+        assert abs(got.witness - want.witness) <= 1e-12
+
+    def test_ghz_fails_first_at_the_default_grid_index(self):
+        rep = condition1_check(states.ghz_state())
+        assert rep.status == "fail"
+        assert rep.direction.index == (1, 0)
+        assert rep.directions_checked == 301 * 51
 
     def test_rejects_non_qubit_pair(self):
         with pytest.raises(ValueError, match="PPT not decisive"):
@@ -158,8 +178,9 @@ class TestZeroDiscord:
             st = cq_state(rng, np.linalg.qr(g)[0], (0.5 + eps, 0.5 - eps))
             rep = zero_discord_check(st)
             assert rep.status == "yes"
-            # a marginal basis that passes BLOCK_TOL may leave ~1e-10
-            assert fixed_point_check(st, rep.basis) <= 1e-10
+            # the Pauli axis goes first, so the coarse eigh basis, which may
+            # pass BLOCK_TOL with ~1e-10 left, is never the one reported
+            assert fixed_point_check(st, rep.basis) <= 1e-15
 
     def test_catalog_statuses(self):
         # "no" only from the pure and nondegenerate rules; the degenerate

@@ -454,6 +454,17 @@ class TestSchmidtKernel:
         assert peak < 128 * 2**20
 
 
+def _real_mixed(rng):
+    """(rho + conj rho) / 2 of a random 2x2x2 mixed state: real, so mirrored."""
+    rho = states.random_density_matrix((2, 2, 2), rng)
+    return DensityMatrix((rho.data + rho.data.conj()) / 2, rho.dims)
+
+
+def _real_pure(rng, dims):
+    vec = rng.standard_normal(int(np.prod(dims)))
+    return PureState(vec / np.linalg.norm(vec), dims)
+
+
 def _in_slices(monkeypatch, rows, side, fn):
     """fn() with the slice budget set to ``rows`` complex side x side blocks."""
     with monkeypatch.context() as m:
@@ -463,13 +474,14 @@ def _in_slices(monkeypatch, rows, side, fn):
 
 class TestChunkedPass:
     # 7 rows split the 225 directions of GRID and the 234 of (25, 8) into
-    # slices of 6 and 7 blocks
+    # slices of 6 and 7 blocks, and so they do the 113 a real state evaluates
     @pytest.mark.parametrize("build, grid", [
         (lambda rng: states.random_density_matrix((2, 2, 2), rng), GRID),
         (lambda rng: states.flower_state(3), GRID),
         (lambda rng: states.random_pure_state((2, 2, 3), rng), GRID),
         (lambda rng: states.random_density_matrix((2, 2, 2), rng), (25, 8)),
-    ], ids=["mixed", "flower:3", "pure-qutrit-c", "odd-grid"])
+        (_real_mixed, GRID),
+    ], ids=["mixed", "flower:3", "pure-qutrit-c", "odd-grid", "real-mixed"])
     def test_slices_match_one_batch(self, monkeypatch, build, grid):
         st = build(np.random.default_rng(3))
         side = st.dims[0] * st.dims[1]
@@ -517,6 +529,66 @@ class TestChunkedPass:
             tracemalloc.stop()
         assert abs(res.delta) <= 1e-9
         assert peak < 64 * 2**20
+
+
+def _real_inputs(kind):
+    """The catalog's qubit-C specs, or 50 seeded real mixed or pure states."""
+    if kind == "catalog":
+        return [st for st in map(states.parse_state_spec, _CATALOG) if st.dims[2] == 2]
+    rng = np.random.default_rng(13)
+    if kind == "mixed":
+        return [_real_mixed(rng) for _ in range(50)]
+    return [_real_pure(rng, _PURE_DIMS[i % 4]) for i in range(50)]
+
+
+def _oracle_values(rho, measure, grid):
+    """Each direction's ensemble value through the scalar classicalize()."""
+    return np.array([
+        sum(o.prob * post_value(measure, o.post)
+            for o in classicalize(rho, _direction_at(2, grid, flat)) if not o.negligible)
+        for flat in range(len(direction_kets(2, grid)))
+    ])
+
+
+class TestConjugationMirror:
+    # for a qubit C, v(pi - x, pi - t) = -conj v(x, t), so a real state's value
+    # at flat index N - 1 - m equals the one at m and the pass copies it
+    def test_only_real_qubit_c_states_are_halved(self):
+        rng = np.random.default_rng(5)
+        n = len(direction_kets(2, GRID))
+        cases = [(_real_mixed(rng), 113), (states.random_density_matrix((2, 2, 2), rng), n),
+                 (states.random_pure_state((2, 2, 2), rng), n),
+                 (states.parse_state_spec("ghz3"), len(direction_kets(3, GRID)))]
+        for st, want in cases:
+            data = st.amp if isinstance(st, PureState) else st.data
+            assert len(ccl._evaluated_kets(st.dims[2], GRID, data)) == want
+
+    @pytest.mark.parametrize("grid", [(14, 14), (25, 8)], ids=["odd-N", "even-N"])
+    @pytest.mark.parametrize("kind", ["catalog", "mixed", "pure"])
+    def test_values_mirror_and_match_the_oracle(self, kind, grid):
+        # the scalar oracle runs on every catalog spec and on the first 5
+        # random states of each kind; every state is checked for the mirror
+        for i, st in enumerate(_real_inputs(kind)):
+            rho = st.projector() if isinstance(st, PureState) else st
+            for measure in MeasureKind:
+                vals = ensemble_values(st, measure, grid)
+                assert vals.tobytes() == vals[::-1].tobytes()
+                if kind == "catalog" or i < 5:
+                    assert np.abs(vals - _oracle_values(rho, measure, grid)).max() <= 1e-12
+
+    def test_conjugate_state_keeps_delta(self):
+        # complex inputs take the full grid; conj rho is measured along conj v
+        rng = np.random.default_rng(17)
+        for i in range(50):
+            if i % 2:
+                st = states.random_pure_state((2, 2, 2), rng)
+                conj, measures = PureState(st.amp.conj(), st.dims), MeasureKind
+            else:
+                st = states.random_density_matrix((2, 2, 2), rng)
+                conj, measures = DensityMatrix(st.data.conj(), st.dims), [MeasureKind.NEGATIVITY]
+            for measure in measures:
+                got, want = delta(conj, measure, GRID).delta, delta(st, measure, GRID).delta
+                assert abs(got - want) <= 1e-12
 
 
 def _haar_unitary(rng, d):
