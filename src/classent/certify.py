@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classicalize import DEFAULT_GRID, ZERO_PROB, MeasurementDirection, _check_grid, _contract
-from .classicalize import _direction_at, _first_outcomes, _traces, _unfold, c_blocks
+from .classicalize import _direction_at, _grid_pass, _outcome_blocks, _traces, c_blocks
 from .matcore import _partial_transpose_array
 from .matcore import as_tripartite, is_pure, numeric_rank, partial_trace, tripartite_cuts
 from .measures import PPT_TOL, SeparabilityVerdict, ppt_verdict
@@ -74,9 +74,12 @@ def condition1_check(state, grid=DEFAULT_GRID) -> Condition1Report:
     rho = as_tripartite(state)
     if rho.dims[:2] != (2, 2):
         raise ValueError(f"PPT not decisive for dims {rho.dims}; the scan needs qubit A and B")
-    probs, min_eigs = _unfold(grid, *map(np.concatenate, zip(*(
-        (_traces(k), np.linalg.eigvalsh(_partial_transpose_array(k, (2, 2), (0,)))[:, 0])
-        for k in _first_outcomes(rho, grid)))))
+
+    def evaluate(kets):
+        k = _outcome_blocks(rho, kets)
+        return _traces(k), np.linalg.eigvalsh(_partial_transpose_array(k, (2, 2), (0,)))[:, 0]
+
+    probs, min_eigs = _grid_pass(rho, grid, evaluate)
     mask = probs > ZERO_PROB
     witnesses = np.where(mask, min_eigs / np.where(mask, probs, 1.0), np.inf)
     checked, skipped = int(mask.sum()), int((~mask).sum())

@@ -21,13 +21,13 @@ generality for measures that are convex, monotonic under local
 operations and flag-condition additive.
 
 The grid is evaluated in contiguous slices of the flat direction order,
-each holding at most STACK_BYTES of dAB x dAB blocks, with the numbers of
-one batch: ``flower:6`` (dAB = 36) peaks near 17 MiB.  Under negativity with
-qubit A and B, a block whose partial-transpose determinant is provably
-positive is PPT and skips the eigensolve.  A ``PureState`` keeps its
-vector: each outcome is rank one, so the pass holds only the N dA dB
-amplitudes <v_n|_C psi and reads both measures from their Schmidt
-coefficients, which runs dAB = 128 (``bells:4``) in about 84 MiB.
+each as many directions as STACK_BYTES of dAB x dAB blocks hold, with the
+numbers of one batch: ``flower:6`` (dAB = 36) peaks near 17 MiB.  Under
+negativity with qubit A and B, a block whose partial-transpose determinant is
+provably positive is PPT and skips the eigensolve.  A ``PureState`` keeps its
+vector: each outcome is rank one, so a slice holds only the dA dB amplitudes
+<v_n|_C psi of its directions and reads both measures from their Schmidt
+coefficients; ``bells:4`` (dAB = 128) runs in about 0.1 s at a 4 MiB peak.
 
 For a qubit C, v(pi - x, pi - t) = -conj v(x, t), so a real rho has at flat
 index N - 1 - m the conjugate of the block at m, with the same PT and marginal
@@ -218,24 +218,23 @@ def _slices(n: int, side: int) -> list[slice]:
     return [slice(n * i // count, n * (i + 1) // count) for i in range(count)]
 
 
-def _evaluated_kets(dim_c: int, grid, data: np.ndarray) -> np.ndarray:
-    """The grid kets to evaluate: the first ceil(N/2) for a qubit C and real data, else all."""
-    kets = direction_kets(dim_c, grid)
-    return kets[:(len(kets) + 1) // 2] if dim_c == 2 and not data.imag.any() else kets
+def _outcome_blocks(rho: DensityMatrix, kets: np.ndarray) -> np.ndarray:
+    """<v_n|_C rho |v_n>_C = p_n sigma_n for the rows v_n of ``kets``, (n, dAB, dAB)."""
+    return _contract(c_blocks(rho), kets.conj(), kets)
 
 
-def _unfold(grid, *arrays):
-    """Full flat-grid arrays from their evaluated heads, entry N - 1 - m a copy of m."""
-    n = int(np.prod(np.add(_check_grid(grid), 1)))
-    return tuple(a if a is None or len(a) == n else np.concatenate([a, a[:n - len(a)][::-1]])
-                 for a in arrays)
-
-
-def _first_outcomes(rho: DensityMatrix, grid):
-    """Yield <v_n|_C rho |v_n>_C = p_n sigma_n over ``_evaluated_kets``, slice by slice."""
-    kets, blocks = _evaluated_kets(rho.dims[2], grid, rho.data), c_blocks(rho)
-    for s in _slices(len(kets), rho.side // rho.dims[2]):
-        yield _contract(blocks, kets[s].conj(), kets[s])
+def _grid_pass(state, grid, evaluate) -> tuple:
+    """Flat-grid arrays from ``evaluate(kets)``, a tuple of arrays with one entry per
+    ket (or None), called on each ``_slices`` slice and joined in grid order.  A
+    qubit C and real data evaluate the first ceil(N/2) kets only, and entry
+    N - 1 - m is copied from entry m."""
+    dims, kets = state.dims, direction_kets(state.dims[2], grid)
+    n, data = len(kets), state.amp if isinstance(state, PureState) else state.data
+    if dims[2] == 2 and not data.imag.any():
+        kets = kets[:(n + 1) // 2]
+    parts = zip(*(evaluate(kets[s]) for s in _slices(len(kets), dims[0] * dims[1])))
+    heads = (None if a[0] is None else np.concatenate(a) for a in parts)
+    return tuple(a if a is None else np.concatenate([a, a[:n - len(a)][::-1]]) for a in heads)
 
 
 def _traces(k: np.ndarray) -> np.ndarray:
@@ -340,11 +339,10 @@ def _schmidt_values(phi: np.ndarray, measure: MeasureKind, probs: np.ndarray) ->
     return probs * _entropies(w, probs)
 
 
-def _schmidt_outcomes(psi: PureState, measure: MeasureKind, grid, complement: bool):
-    """``_grid_outcomes`` of a pure state from the amplitudes phi_n = <v_n|_C psi."""
+def _schmidt_outcomes(psi: PureState, measure: MeasureKind, kets: np.ndarray, complement: bool):
+    """``_grid_outcomes`` of a pure state on rows v_n of ``kets``, from phi_n = <v_n|_C psi."""
     da, db, dc = psi.dims
     amps = psi.amp.reshape(da * db, dc)
-    kets = _evaluated_kets(dc, grid, psi.amp)
     n = len(kets)
     if complement and dc == 2:
         # 1 - |v><v| = |v'><v'| with v' = (-v_1^*, v_0^*), so it is rank one too
@@ -358,34 +356,32 @@ def _schmidt_outcomes(psi: PureState, measure: MeasureKind, grid, complement: bo
         return probs[:n], first, (first + values[n:]) if complement else None
     # a qutrit C leaves the rank-two complement rho_AB - |phi_n><phi_n|
     ket = phi.reshape(n, -1, 1)
-    bra, rho_ab = ket.conj().transpose(0, 2, 1), amps @ amps.conj().T
-    rest = [_weighted_values(rho_ab - ket[s] * bra[s], measure, (da, db))
-            for s in _slices(n, da * db)]
-    return probs, first, first + np.concatenate(rest)
+    rest = amps @ amps.conj().T - ket * ket.conj().transpose(0, 2, 1)
+    return probs, first, first + _weighted_values(rest, measure, (da, db))
 
 
 def _grid_outcomes(state, measure: MeasureKind, grid, complement=True):
-    """One pass over the grid directions |v_n> on C, in flat grid order.
+    """One ``_grid_pass`` over the grid directions |v_n> on C, in flat grid order.
 
     Returns the first-outcome probabilities p_n, the weighted values
     p_n E[sigma_n (x) |0><0|] and the ensemble values, which add the complement
     outcome, or None without ``complement``.  A ``PureState`` (tripartite, as its
-    caller checks) takes the Schmidt route, a ``DensityMatrix`` the eigen route;
-    both evaluate ``_evaluated_kets`` and ``_unfold`` a mirrored half pass.
+    caller checks) takes the Schmidt route, a ``DensityMatrix`` the eigen route.
     """
     if isinstance(state, PureState):
-        return _unfold(grid, *_schmidt_outcomes(state, measure, grid, complement))
+        return _grid_pass(state, grid, lambda v: _schmidt_outcomes(state, measure, v, complement))
     rho = as_tripartite(state)
     dims_ab, rho_ab = rho.dims[:2], _partial_trace_array(rho.data, rho.dims, (0, 1))
-    p, first, rest = [], [], []
-    for k in _first_outcomes(rho, grid):
-        p.append(_traces(k))
-        first.append(_weighted_values(k, measure, dims_ab))
-        if complement:
-            # the complement block rho_AB - <v|rho|v> overwrites the first one
-            rest.append(_weighted_values(np.subtract(rho_ab, k, out=k), measure, dims_ab))
-    p, first = np.concatenate(p), np.concatenate(first)
-    return _unfold(grid, p, first, (first + np.concatenate(rest)) if complement else None)
+
+    def evaluate(kets):
+        k = _outcome_blocks(rho, kets)
+        p, first = _traces(k), _weighted_values(k, measure, dims_ab)
+        if not complement:
+            return p, first, None
+        # the complement block rho_AB - <v|rho|v> overwrites the first one
+        return p, first, first + _weighted_values(np.subtract(rho_ab, k, out=k), measure, dims_ab)
+
+    return _grid_pass(rho, grid, evaluate)
 
 
 def _floor(gval: float, probs: np.ndarray, first: np.ndarray) -> float:

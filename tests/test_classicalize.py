@@ -13,8 +13,9 @@ from classent.certify import condition1_check
 from classent.classicalize import (
     MeasurementDirection,
     _direction_at,
-    _first_outcomes,
     _grid_outcomes,
+    _grid_pass,
+    _outcome_blocks,
     _ppt_by_det,
     _slices,
     _weighted_values,
@@ -367,7 +368,7 @@ class TestDeterminantScreen:
         slack = np.diag([-9e-10, -9e-10, 1e-3, 1e-3]).astype(complex)
         rest = (1 - np.trace(slack).real) * np.eye(4) / 4
         rho = kron(slack, np.diag([1.0, 0.0])) + kron(rest, np.diag([0.0, 1.0]))
-        k = np.concatenate([*_first_outcomes(DensityMatrix(rho, (2, 2, 2)), GRID)])
+        k = _outcome_blocks(DensityMatrix(rho, (2, 2, 2)), direction_kets(2, GRID))
         want = _eigen_route(k)
         assert want.max() > 0
         assert _weighted_values(k, MeasureKind.NEGATIVITY, (2, 2)).tobytes() == want.tobytes()
@@ -384,7 +385,7 @@ class TestDeterminantScreen:
         for st in sts:
             rho = st if isinstance(st, DensityMatrix) else st.projector()
             dims_ab = rho.dims[:2]
-            first = np.concatenate([*_first_outcomes(rho, (48, 16))])
+            first = _outcome_blocks(rho, direction_kets(rho.dims[2], (48, 16)))
             rest = _partial_trace_array(rho.data, rho.dims, (0, 1)) - first
             for k in (first, rest):
                 got = _weighted_values(k, MeasureKind.NEGATIVITY, dims_ab)
@@ -439,19 +440,25 @@ class TestSchmidtKernel:
         assert (ensemble_values(st, MeasureKind.NEGATIVITY, (2, 2)).max() > 0) == (scale > 1)
 
     def test_bells4_at_the_default_grid(self):
-        # the eigen route would hold two (15351, 128, 128) stacks, 7.5 GiB
+        # the Schmidt pass streams 240 slices of about 32 directions; held whole,
+        # it peaked at 42 MiB (negativity) and 77 MiB (squashed)
         st = states.parse_state_spec("bells:4")
-        tracemalloc.start()
-        try:
-            res = delta(st)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert abs(res.delta - 4.5) <= 1e-9
-        assert res.lower_bound <= res.delta + 1e-9
-        assert res.delta <= res.upper_bound + 1e-9
-        assert res.upper_bound <= res.global_value + 1e-9
-        assert peak < 128 * 2**20
+        res = {}
+        for measure in MeasureKind:
+            tracemalloc.start()
+            try:
+                res[measure] = delta(st, measure)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20
+        neg = res[MeasureKind.NEGATIVITY]
+        assert abs(neg.delta - 4.5) <= 1e-9
+        assert neg.lower_bound <= neg.delta + 1e-9
+        assert neg.delta <= neg.upper_bound + 1e-9
+        assert neg.upper_bound <= neg.global_value + 1e-9
+        # classicalizing one qubit costs exactly one unit of the squashed measure
+        assert abs(res[MeasureKind.SQUASHED].delta - 1.0) <= 1e-9
 
 
 def _real_mixed(rng):
@@ -481,7 +488,10 @@ class TestChunkedPass:
         (lambda rng: states.random_pure_state((2, 2, 3), rng), GRID),
         (lambda rng: states.random_density_matrix((2, 2, 2), rng), (25, 8)),
         (_real_mixed, GRID),
-    ], ids=["mixed", "flower:3", "pure-qutrit-c", "odd-grid", "real-mixed"])
+        (lambda rng: states.random_pure_state((4, 2, 2), rng), GRID),
+        (lambda rng: _real_pure(rng, (2, 2, 2)), GRID),
+    ], ids=["mixed", "flower:3", "pure-qutrit-c", "odd-grid", "real-mixed", "pure-qubit-c",
+            "real-pure"])
     def test_slices_match_one_batch(self, monkeypatch, build, grid):
         st = build(np.random.default_rng(3))
         side = st.dims[0] * st.dims[1]
@@ -491,7 +501,7 @@ class TestChunkedPass:
             return {len(range(n)[s]) for s in _slices(n, side)}
 
         def blocks():
-            return np.concatenate([*_first_outcomes(st, grid)]).tobytes()
+            return _grid_pass(st, grid, lambda kets: (_outcome_blocks(st, kets),))[0].tobytes()
 
         def outcomes(measure, complement):
             return [a.tobytes() for a in _grid_outcomes(st, measure, grid, complement)
@@ -556,12 +566,22 @@ class TestConjugationMirror:
     def test_only_real_qubit_c_states_are_halved(self):
         rng = np.random.default_rng(5)
         n = len(direction_kets(2, GRID))
-        cases = [(_real_mixed(rng), 113), (states.random_density_matrix((2, 2, 2), rng), n),
+        cases = [(_real_mixed(rng), 113), (_real_pure(rng, (2, 2, 2)), 113),
+                 (states.random_density_matrix((2, 2, 2), rng), n),
                  (states.random_pure_state((2, 2, 2), rng), n),
                  (states.parse_state_spec("ghz3"), len(direction_kets(3, GRID)))]
         for st, want in cases:
-            data = st.amp if isinstance(st, PureState) else st.data
-            assert len(ccl._evaluated_kets(st.dims[2], GRID, data)) == want
+            rows = []
+
+            def evaluate(kets):
+                rows.append(len(kets))
+                return (np.arange(len(kets)), None)
+
+            got, none = _grid_pass(st, GRID, evaluate)
+            assert sum(rows) == want and none is None
+            # entry N - 1 - m of a halved pass is a copy of entry m
+            assert len(got) == len(direction_kets(st.dims[2], GRID))
+            assert (got[want:] == got[:len(got) - want][::-1]).all()
 
     @pytest.mark.parametrize("grid", [(14, 14), (25, 8)], ids=["odd-N", "even-N"])
     @pytest.mark.parametrize("kind", ["catalog", "mixed", "pure"])
