@@ -22,7 +22,7 @@ operations and flag-condition additive.
 
 The grid is evaluated in contiguous slices of the flat direction order,
 each as many directions as STACK_BYTES of dAB x dAB blocks hold, with the
-numbers of one batch: ``flower:6`` (dAB = 36) peaks near 17 MiB.  Under
+numbers of one batch: a random 4x4x2 state (dAB = 16) peaks near 16 MiB.  Under
 negativity with qubit A and B, a block whose partial-transpose determinant is
 provably positive is PPT and skips the eigensolve.  A ``PureState`` keeps its
 vector: each outcome is rank one, so a slice holds only the dA dB amplitudes
@@ -32,6 +32,9 @@ coefficients; ``bells:4`` (dAB = 128) runs in about 0.1 s at a 4 MiB peak.
 For a qubit C, v(pi - x, pi - t) = -conj v(x, t), so a real rho has at flat
 index N - 1 - m the conjugate of the block at m, with the same PT and marginal
 spectra: a pass evaluates the first ceil(N/2) directions and mirrors the rest.
+If <0|rho|1>_C = 0, then <v|rho|v>_C = cos^2 x rho_00 + |e^{-it}|^2 sin^2 x rho_11
+has no t and is even under x -> pi - x, as is rho_AB minus it: one half-column
+serves the grid, copied row by row since cos(pi - x) and -cos x may differ in ulps.
 """
 
 from __future__ import annotations
@@ -227,14 +230,21 @@ def _grid_pass(state, grid, evaluate) -> tuple:
     """Flat-grid arrays from ``evaluate(kets)``, a tuple of arrays with one entry per
     ket (or None), called on each ``_slices`` slice and joined in grid order.  A
     qubit C and real data evaluate the first ceil(N/2) kets only, and entry
-    N - 1 - m is copied from entry m."""
-    dims, kets = state.dims, direction_kets(state.dims[2], grid)
-    n, data = len(kets), state.amp if isinstance(state, PureState) else state.data
-    if dims[2] == 2 and not data.imag.any():
+    N - 1 - m is copied from entry m.  A ``DensityMatrix`` with a qubit C and an
+    exactly zero off-diagonal C block evaluates the t = 0 column only: its first
+    ceil((n_x + 1)/2) rows, row n_x - k copied from row k, each row n_t + 1 times."""
+    dims, kets, rep = state.dims, direction_kets(state.dims[2], grid), 1
+    data = state.amp if isinstance(state, PureState) else state.data
+    if dims[2] == 2 and isinstance(state, DensityMatrix) and not c_blocks(state)[0, 1].any():
+        rep = _check_grid(grid)[1] + 1
+        kets = kets[::rep]
+    n = len(kets)
+    if dims[2] == 2 and (rep > 1 or not data.imag.any()):
         kets = kets[:(n + 1) // 2]
     parts = zip(*(evaluate(kets[s]) for s in _slices(len(kets), dims[0] * dims[1])))
     heads = (None if a[0] is None else np.concatenate(a) for a in parts)
-    return tuple(a if a is None else np.concatenate([a, a[:n - len(a)][::-1]]) for a in heads)
+    return tuple(a if a is None else np.concatenate([a, a[:n - len(a)][::-1]]).repeat(rep, 0)
+                 for a in heads)
 
 
 def _traces(k: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ from hypothesis import strategies as hst
 from classent import states
 from classent.certify import condition1_check
 from classent.classicalize import (
+    DEFAULT_GRID,
     MeasurementDirection,
     _direction_at,
     _grid_outcomes,
@@ -540,6 +541,20 @@ class TestChunkedPass:
         assert abs(res.delta) <= 1e-9
         assert peak < 64 * 2**20
 
+    def test_generic_wide_state_streams_in_bounded_memory(self):
+        # dAB = 16, complex and coherent on C: no shortcut applies, so the
+        # 15351 outcome blocks stream through the eigen route in 8 slices
+        st = states.random_density_matrix((4, 4, 2), np.random.default_rng(31))
+        assert len(_slices(len(direction_kets(2, DEFAULT_GRID)), 16)) == 8
+        tracemalloc.start()
+        try:
+            res = delta(st)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.lower_bound - 1e-9 <= res.delta <= res.upper_bound + 1e-9
+        assert peak < 64 * 2**20
+
 
 def _real_inputs(kind):
     """The catalog's qubit-C specs, or 50 seeded real mixed or pure states."""
@@ -609,6 +624,59 @@ class TestConjugationMirror:
             for measure in measures:
                 got, want = delta(conj, measure, GRID).delta, delta(st, measure, GRID).delta
                 assert abs(got - want) <= 1e-12
+
+
+def _diagonal_c(rng, dims):
+    """A seeded complex mixed state dephased on C, so <0|rho|1>_C = 0."""
+    rho = states.random_density_matrix(dims, rng)
+    side = dims[0] * dims[1]
+    return DensityMatrix(rho.data * np.kron(np.ones((side, side)), np.eye(2)), dims)
+
+
+def _collapse_inputs():
+    """flower:2..4, then two complex C-diagonal states each of 2x2x2 and 3x2x2."""
+    rng = np.random.default_rng(23)
+    return ([states.flower_state(d) for d in (2, 3, 4)]
+            + [_diagonal_c(rng, dims) for dims in ((2, 2, 2), (3, 2, 2)) for _ in range(2)])
+
+
+class TestTAxisCollapse:
+    # <0|rho|1>_C = 0 leaves <v|rho|v>_C = cos^2 x rho_00 + sin^2 x rho_11: it has
+    # no t and is even under x -> pi - x, so a pass evaluates half the t = 0 column
+    @pytest.mark.parametrize("grid", [GRID, (25, 8)], ids=["GRID", "odd-n_x"])
+    def test_values_repeat_and_match_the_oracle(self, grid):
+        # the scalar oracle runs on flower:3 and on one state of each size
+        nx, nt = grid
+        for i, st in enumerate(_collapse_inputs()):
+            for measure in MeasureKind:
+                vals = ensemble_values(st, measure, grid)
+                rows = vals.reshape(nx + 1, nt + 1)
+                assert rows.tobytes() == np.repeat(rows[:, :1], nt + 1, axis=1).tobytes()
+                assert rows.tobytes() == rows[::-1].tobytes()
+                if i in (1, 3, 5):
+                    assert np.abs(vals - _oracle_values(st, measure, grid)).max() <= 1e-12
+
+    def test_only_an_exactly_zero_block_collapses(self):
+        # 13 = ceil(25 / 2) rows of GRID; a 1e-14 coherence keeps the mirror half
+        # (113) of a real state and the whole grid (225) of a complex one, and a
+        # pure state keeps the Schmidt route's choice
+        rng = np.random.default_rng(29)
+        flower, mixed = states.flower_state(2), _diagonal_c(rng, (2, 2, 2))
+        nudge = 1e-14 * np.kron(np.eye(4) / 4, [[0, 1], [1, 0]])
+        amp = np.kron(states.random_pure_state((2, 2), rng).amp, [1, 0])
+        cases = [(flower, 13), (mixed, 13), (_diagonal_c(rng, (3, 2, 2)), 13),
+                 (DensityMatrix(flower.data + nudge, flower.dims), 113),
+                 (DensityMatrix(mixed.data + nudge, mixed.dims), 225),
+                 (PureState(amp, (2, 2, 2)), 225)]
+        for st, want in cases:
+            rows = []
+
+            def evaluate(kets):
+                rows.append(len(kets))
+                return (np.arange(len(kets)), None)
+
+            got, none = _grid_pass(st, GRID, evaluate)
+            assert sum(rows) == want and none is None and len(got) == 225
 
 
 def _haar_unitary(rng, d):
