@@ -233,7 +233,6 @@ def certify_state(state, grid=DEFAULT_GRID) -> CertReport:
     except ValueError as exc:
         skipped = str(exc)
     discord = zero_discord_check(rho)
-    basis = discord.basis if discord.status == "yes" else None
-    residual = fixed_point_check(rho, basis)
+    residual = fixed_point_check(rho, discord.basis)
     ranks = rank_report(rho, condition1_pass=condition1 is not None and condition1.passed)
     return CertReport(condition1, skipped, discord, residual, ranks)

@@ -228,23 +228,23 @@ def _outcome_blocks(rho: DensityMatrix, kets: np.ndarray) -> np.ndarray:
 
 def _grid_pass(state, grid, evaluate) -> tuple:
     """Flat-grid arrays from ``evaluate(kets)``, a tuple of arrays with one entry per
-    ket (or None), called on each ``_slices`` slice and joined in grid order.  A
-    qubit C and real data evaluate the first ceil(N/2) kets only, and entry
-    N - 1 - m is copied from entry m.  A ``DensityMatrix`` with a qubit C and an
-    exactly zero off-diagonal C block evaluates the t = 0 column only: its first
+    ket, called on each ``_slices`` slice and joined in grid order.  A qubit C and
+    real data evaluate the first ceil(N/2) kets only, and entry N - 1 - m is
+    copied from entry m.  A ``DensityMatrix`` with a qubit C and an exactly zero
+    off-diagonal C block builds and evaluates the t = 0 column only: its first
     ceil((n_x + 1)/2) rows, row n_x - k copied from row k, each row n_t + 1 times."""
-    dims, kets, rep = state.dims, direction_kets(state.dims[2], grid), 1
+    (nx, nt), dims, rep = _check_grid(grid), state.dims, 1
     data = state.amp if isinstance(state, PureState) else state.data
     if dims[2] == 2 and isinstance(state, DensityMatrix) and not c_blocks(state)[0, 1].any():
-        rep = _check_grid(grid)[1] + 1
-        kets = kets[::rep]
+        kets, rep = direction_kets(2, (nx, 1))[::2], nt + 1
+    else:
+        kets = direction_kets(dims[2], grid)
     n = len(kets)
     if dims[2] == 2 and (rep > 1 or not data.imag.any()):
         kets = kets[:(n + 1) // 2]
     parts = zip(*(evaluate(kets[s]) for s in _slices(len(kets), dims[0] * dims[1])))
-    heads = (None if a[0] is None else np.concatenate(a) for a in parts)
-    return tuple(a if a is None else np.concatenate([a, a[:n - len(a)][::-1]]).repeat(rep, 0)
-                 for a in heads)
+    return tuple(np.concatenate([a, a[:n - len(a)][::-1]]).repeat(rep, 0)
+                 for a in map(np.concatenate, parts))
 
 
 def _traces(k: np.ndarray) -> np.ndarray:
@@ -362,8 +362,10 @@ def _schmidt_outcomes(psi: PureState, measure: MeasureKind, kets: np.ndarray, co
     probs = np.einsum("ni,ni->n", re_im, re_im)
     values = _schmidt_values(phi, measure, probs)
     first = values[:n]
-    if dc == 2 or not complement:
-        return probs[:n], first, (first + values[n:]) if complement else None
+    if not complement:
+        return probs, first
+    if dc == 2:
+        return probs[:n], first, first + values[n:]
     # a qutrit C leaves the rank-two complement rho_AB - |phi_n><phi_n|
     ket = phi.reshape(n, -1, 1)
     rest = amps @ amps.conj().T - ket * ket.conj().transpose(0, 2, 1)
@@ -373,9 +375,9 @@ def _schmidt_outcomes(psi: PureState, measure: MeasureKind, kets: np.ndarray, co
 def _grid_outcomes(state, measure: MeasureKind, grid, complement=True):
     """One ``_grid_pass`` over the grid directions |v_n> on C, in flat grid order.
 
-    Returns the first-outcome probabilities p_n, the weighted values
-    p_n E[sigma_n (x) |0><0|] and the ensemble values, which add the complement
-    outcome, or None without ``complement``.  A ``PureState`` (tripartite, as its
+    Returns the first-outcome probabilities p_n and the weighted values
+    p_n E[sigma_n (x) |0><0|], then, with ``complement``, the ensemble values,
+    which add the complement outcome.  A ``PureState`` (tripartite, as its
     caller checks) takes the Schmidt route, a ``DensityMatrix`` the eigen route.
     """
     if isinstance(state, PureState):
@@ -387,7 +389,7 @@ def _grid_outcomes(state, measure: MeasureKind, grid, complement=True):
         k = _outcome_blocks(rho, kets)
         p, first = _traces(k), _weighted_values(k, measure, dims_ab)
         if not complement:
-            return p, first, None
+            return p, first
         # the complement block rho_AB - <v|rho|v> overwrites the first one
         return p, first, first + _weighted_values(np.subtract(rho_ab, k, out=k), measure, dims_ab)
 
@@ -490,7 +492,7 @@ def lower_bound(state, measure=MeasureKind.NEGATIVITY, grid=DEFAULT_GRID) -> flo
     rho = as_tripartite(state)
     grid = _check_grid(grid)
     gval = global_value(rho, measure)
-    probs, first, _ = _grid_outcomes(state, measure, grid, complement=False)
+    probs, first = _grid_outcomes(state, measure, grid, complement=False)
     return _floor(gval, probs, first)
 
 

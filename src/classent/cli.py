@@ -11,11 +11,11 @@ tools.  Exit codes: 0 success, 1 verification failure, 2 usage error,
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
 import sys
+from argparse import ArgumentParser, ArgumentTypeError
 from dataclasses import asdict
 
 import numpy as np
@@ -36,13 +36,6 @@ from .verify import SUITES, run_suite
 # Families whose single real parameter can be swept from the CLI.
 SWEEPABLE = states.one_parameter_families()
 
-# --grid default, in the NX,NT form the flag takes
-_DEFAULT_GRID_FLAG = ",".join(str(n) for n in DEFAULT_GRID)
-
-
-class UsageError(Exception):
-    """Bad flags or a precondition violation; maps to exit code 2."""
-
 
 def _fmt(x: float) -> str:
     # 12 significant digits, '.' decimal separator, no locale
@@ -52,26 +45,26 @@ def _fmt(x: float) -> str:
 def _parse_grid(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise UsageError(f"--grid wants NX,NT, got {text!r}")
+        raise ArgumentTypeError(f"--grid wants NX,NT, got {text!r}")
     try:
         nx, nt = int(parts[0]), int(parts[1])
     except ValueError:
-        raise UsageError(f"--grid wants two integers, got {text!r}") from None
+        raise ArgumentTypeError(f"--grid wants two integers, got {text!r}") from None
     return nx, nt
 
 
 def _parse_range(text: str) -> tuple[float, float, int]:
     parts = text.split(",")
     if len(parts) != 3:
-        raise UsageError(f"--range wants A,B,N, got {text!r}")
+        raise ArgumentTypeError(f"--range wants A,B,N, got {text!r}")
     try:
         start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
-        raise UsageError(f"--range wants two floats and an integer, got {text!r}") from None
+        raise ArgumentTypeError(f"--range wants two floats and an integer, got {text!r}") from None
     if steps < 2:
-        raise UsageError(f"--range needs at least 2 steps, got {steps}")
+        raise ArgumentTypeError(f"--range needs at least 2 steps, got {steps}")
     if not start < stop:
-        raise UsageError(f"--range needs A < B, got {start} >= {stop}")
+        raise ArgumentTypeError(f"--range needs A < B, got {start} >= {stop}")
     return start, stop, steps
 
 
@@ -102,7 +95,7 @@ def _emit(payload: dict, lines: list[str], args) -> None:
 def cmd_measure(args) -> int:
     st = states.parse_state_spec(args.state)
     rho = as_density(st)
-    values = {m: global_value(st, m) for m in _measure_list(args.measure)}
+    values = {m: global_value(rho, m) for m in _measure_list(args.measure)}
     cuts = {cut.label(): negativity(rho, cut) for cut in tripartite_cuts()}
     ents = {
         "ABC"[k]: von_neumann_entropy(partial_trace(rho, (k,)))
@@ -125,14 +118,13 @@ def cmd_measure(args) -> int:
 
 def cmd_delta(args) -> int:
     st = states.parse_state_spec(args.state)
-    grid = _parse_grid(args.grid)
-    res = delta(st, args.measure, grid)
+    res = delta(st, args.measure, args.grid)
     # the bound sandwich is proved for negativity only: None under squashed
     payload = {k: v for k, v in res.to_jsonable().items() if v is not None}
     lines = [
         f"state: {args.state}",
         f"measure: {args.measure}",
-        f"grid: {grid[0]}x{grid[1]}",
+        f"grid: {args.grid[0]}x{args.grid[1]}",
         f"global: {_fmt(res.global_value)}",
         f"ensemble: {_fmt(res.ensemble_value)}",
         f"delta: {_fmt(res.delta)}",
@@ -150,21 +142,20 @@ def cmd_delta(args) -> int:
 def cmd_sweep(args) -> int:
     family = args.state
     if ":" in family:
-        raise UsageError(
+        raise ValueError(
             "sweep wants a bare family name; the swept parameter comes from --range"
         )
     if family not in SWEEPABLE:
-        raise UsageError(
+        raise ValueError(
             f"family {family!r} has no single swept parameter; "
             f"choose one of {', '.join(sorted(SWEEPABLE))}"
         )
     if args.sweep_range is not None:
-        start, stop, steps = _parse_range(args.sweep_range)
+        start, stop, steps = args.sweep_range
     elif family in ("psi", "rho"):
         start, stop, steps = 0.0, 1.0, 21
     else:
-        raise UsageError(f"family {family!r} needs an explicit --range A,B,N")
-    grid = _parse_grid(args.grid)
+        raise ValueError(f"family {family!r} needs an explicit --range A,B,N")
     measure_names = _measure_list(args.measure)
 
     header = ["param"]
@@ -179,7 +170,7 @@ def cmd_sweep(args) -> int:
         st = states.parse_state_spec(f"{family}:{float(param)!r}")
         row = [_fmt(param)]
         for m in measure_names:
-            res = delta(st, m, grid)
+            res = delta(st, m, args.grid)
             row += [_fmt(res.global_value), _fmt(res.delta)]
             if res.measure is MeasureKind.NEGATIVITY:
                 row += [_fmt(res.lower_bound), _fmt(res.upper_bound)]
@@ -226,8 +217,8 @@ def cmd_dump(args) -> int:
 # argument plumbing
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser() -> ArgumentParser:
+    parser = ArgumentParser(
         prog="classent",
         description="entanglement change under classical re-encoding of subsystem C",
     )
@@ -244,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("delta", help="entanglement change under the best grid measurement")
     p.add_argument("--state", required=True, metavar="SPEC")
     p.add_argument("--measure", choices=measures, default="negativity")
-    p.add_argument("--grid", default=_DEFAULT_GRID_FLAG, metavar="NX,NT")
+    p.add_argument("--grid", type=_parse_grid, default=DEFAULT_GRID, metavar="NX,NT")
     p.add_argument("--format", choices=["json", "plain"], default="plain")
     p.add_argument("--output", metavar="PATH")
     p.set_defaults(func=cmd_delta)
@@ -252,10 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="tabulate a one-parameter family as CSV")
     p.add_argument("--state", required=True, metavar="FAMILY",
                    help="family with one free parameter: " + ", ".join(sorted(SWEEPABLE)))
-    p.add_argument("--range", dest="sweep_range", metavar="A,B,N",
+    p.add_argument("--range", dest="sweep_range", type=_parse_range, metavar="A,B,N",
                    help="start, stop, steps (default 0,1,21 for psi and rho)")
     p.add_argument("--measure", action="append", choices=measures)
-    p.add_argument("--grid", default=_DEFAULT_GRID_FLAG, metavar="NX,NT")
+    p.add_argument("--grid", type=_parse_grid, default=DEFAULT_GRID, metavar="NX,NT")
     p.add_argument("--output", metavar="PATH")
     p.set_defaults(func=cmd_sweep)
 
@@ -287,7 +278,7 @@ def main(argv=None) -> int:
     except (np.linalg.LinAlgError, MemoryError) as exc:
         print(f"error: numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except (UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -153,7 +153,6 @@ def ppt_verdict(state, part: Bipartition) -> SeparabilityVerdict:
     stays ``ppt_inconclusive``, since PPT entangled states exist.
     """
     rho = as_density(state)
-    part.check_covers(rho.n_subsystems)
     w = np.linalg.eigvalsh(partial_transpose(rho, part))
     witness = float(w[0])
     if witness < -PPT_TOL:

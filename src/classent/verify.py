@@ -188,7 +188,7 @@ def check_flower_lock(seed):
         res = delta(st, MeasureKind.NEGATIVITY)
         dv, up = res.delta, res.upper_bound
         disc = zero_discord_check(st)
-        resid = fixed_point_check(st, disc.basis if disc.status == "yes" else None)
+        resid = fixed_point_check(st, disc.basis)
         margins += [1e-10 - abs(dv), up - 0.1, 1e-12 - resid]
         ok = ok and disc.status == "yes"
         notes.append(f"d={d}: delta {dv:.1e}, upper {up:.3f}, discord {disc.status}")

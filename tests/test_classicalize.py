@@ -590,10 +590,10 @@ class TestConjugationMirror:
 
             def evaluate(kets):
                 rows.append(len(kets))
-                return (np.arange(len(kets)), None)
+                return (np.arange(len(kets)),)
 
-            got, none = _grid_pass(st, GRID, evaluate)
-            assert sum(rows) == want and none is None
+            (got,) = _grid_pass(st, GRID, evaluate)
+            assert sum(rows) == want
             # entry N - 1 - m of a halved pass is a copy of entry m
             assert len(got) == len(direction_kets(st.dims[2], GRID))
             assert (got[want:] == got[:len(got) - want][::-1]).all()
@@ -673,10 +673,30 @@ class TestTAxisCollapse:
 
             def evaluate(kets):
                 rows.append(len(kets))
-                return (np.arange(len(kets)), None)
+                return (np.arange(len(kets)),)
 
-            got, none = _grid_pass(st, GRID, evaluate)
-            assert sum(rows) == want and none is None and len(got) == 225
+            (got,) = _grid_pass(st, GRID, evaluate)
+            assert sum(rows) == want and len(got) == 225
+
+    def test_a_collapsed_pass_builds_the_t0_column_only(self, monkeypatch):
+        # 50 = 2 (n_x + 1) kets of the (n_x, 1) grid, every other one kept; the
+        # 1e-14 coherence builds all 225 of GRID
+        rng = np.random.default_rng(37)
+        mixed = _diagonal_c(rng, (2, 2, 2))
+        nudge = 1e-14 * np.kron(np.eye(4) / 4, [[0, 1], [1, 0]])
+        built, kets = [], ccl.direction_kets
+
+        def recording(*args):
+            out = kets(*args)
+            built.append(len(out))
+            return out
+
+        monkeypatch.setattr(ccl, "direction_kets", recording)
+        for st, want in [(states.flower_state(2), 50), (mixed, 50),
+                         (DensityMatrix(mixed.data + nudge, mixed.dims), 225)]:
+            built.clear()
+            ensemble_values(st, MeasureKind.NEGATIVITY, GRID)
+            assert built == [want]
 
 
 def _haar_unitary(rng, d):

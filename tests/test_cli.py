@@ -108,6 +108,11 @@ class TestDelta:
         assert payload["delta"] == pytest.approx(0.5, abs=1e-9)
         assert payload["grid"] == [24, 8]
 
+    def test_default_grid(self, capsys):
+        code, out, _ = run(capsys, "delta", "--state", "ghz", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["grid"] == [300, 50]
+
     def test_flower_with_bounds(self, capsys):
         code, out, _ = run(
             capsys, "delta", "--state", "flower:2", "--grid", "24,8",
@@ -206,6 +211,10 @@ class TestSweep:
             # the battery runs at the default grid only
             (("verify", "--grid", "8,4"), "invalid choice: '8,4'"),
             (("verify", "condition1", "--grid", "8,4"), "unrecognized arguments: --grid 8,4"),
+            # the flag hooks report through argparse, in delta as in sweep
+            (("delta", "--state", "ghz", "--grid", "3,x"), "--grid wants two integers"),
+            (("sweep", "--state", "psi", "--range", "1,0,5"), "--range needs A < B"),
+            (("sweep", "--state", "psi", "--range", "0,1,1"), "at least 2 steps"),
         ],
     )
     def test_malformed_flags(self, capsys, flags, message):
