@@ -5,16 +5,15 @@ Three independent certificates are implemented:
 * a grid scan certifying that every measurement direction on C leaves a
   separable two-qubit state behind, which forces the entanglement
   change to be complete;
-* a zero-discord test deciding whether the state is already classical
-  on C, i.e. a fixed point of the classicalization channel;
+* a zero-discord test deciding whether the state is already classical on C,
+  a fixed point of the classicalization channel to BLOCK_TOL in ``fixed_point_check``;
 * a rank and PPT report that cross-checks the structural consequences
   of complete loss (a reduced state of rank more than 2, and rank more
   than 2 globally when additionally AB|C is separable).
 
-Verdicts are conservative: "separable" is only ever claimed where the
-PPT criterion is decisive, and the discord test answers "undecided"
-rather than guessing when a degenerate marginal leaves its exact
-candidate bases unconfirmed.
+Verdicts are conservative: "separable" is only ever claimed where the PPT
+criterion is decisive, and the discord test answers "undecided" rather than
+guessing when a degenerate marginal leaves its exact candidate bases unconfirmed.
 """
 
 from __future__ import annotations
@@ -25,19 +24,16 @@ import numpy as np
 
 from .classicalize import DEFAULT_GRID, ZERO_PROB, MeasurementDirection, _check_grid, _contract
 from .classicalize import _direction_at, _grid_pass, _outcome_blocks, _traces, c_blocks
-from .matcore import _partial_transpose_array
+from .matcore import PAULIS, _partial_transpose_array
 from .matcore import as_tripartite, is_pure, numeric_rank, partial_trace, tripartite_cuts
 from .measures import PPT_TOL, SeparabilityVerdict, ppt_verdict
 
-# Off-diagonal C-blocks below this size count as vanished.
+# A dephasing residual (fixed_point_check) of at most this counts as a fixed point.
 BLOCK_TOL = 1e-10
 
 # Marginal eigenvalues farther apart than this fix the diagonalizing basis,
 # so failed candidates mean "no"; closer ones leave it open ("undecided").
 DEGENERACY_GAP = 1e-8
-
-# sigma_x, sigma_y, sigma_z
-_PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 @dataclass(frozen=True)
@@ -104,12 +100,6 @@ class DiscordReport:
     basis: np.ndarray | None
 
 
-def _dephasing_fixes(blocks: np.ndarray, basis: np.ndarray) -> bool:
-    """Whether every off-diagonal block <b_i|rho|b_j>, i != j, is within BLOCK_TOL."""
-    i, j = np.nonzero(~np.eye(len(basis), dtype=bool))
-    return float(np.max(np.abs(_contract(blocks, basis.conj().T[i], basis.T[j])))) <= BLOCK_TOL
-
-
 def zero_discord_check(state) -> DiscordReport:
     """Decide whether rho = sum_i p_i sigma_i (x) |b_i><b_i| for some basis.
 
@@ -120,19 +110,19 @@ def zero_discord_check(state) -> DiscordReport:
     rho = (A_0 (x) 1 + sum_k A_k (x) sigma_k)/2 to (A_0 (x) 1 + (n.A) (x) (n.sigma))/2,
     so rho is fixed iff A_k = n_k (n.A) for all k; then tr(A_j A_k) = n_j n_k
     tr((n.A)^2), whose top eigenvector is +-n.  It stays exact for a nearly
-    degenerate marginal, whose eigh basis is only good to ~1e-16/gap.  When no
-    candidate passes, a pure or nondegenerate state is "no", the rest "undecided".
+    degenerate marginal, whose eigh basis is only good to ~1e-16/gap.  A candidate
+    passes iff ``fixed_point_check`` in its basis is at most BLOCK_TOL.  When none
+    passes, a pure or nondegenerate state is "no", the rest "undecided".
     """
     rho = as_tripartite(state)
-    blocks = c_blocks(rho)
     w, basis = np.linalg.eigh(partial_trace(rho, (2,)).data)
     candidates, pure = [basis], is_pure(rho)
     if rho.dims[2] == 2 and not pure:
-        a = np.einsum("kcd,dcab->kab", _PAULIS, blocks)
+        a = np.einsum("kcd,dcab->kab", PAULIS, c_blocks(rho))
         axis = np.linalg.eigh(np.einsum("jab,kba->jk", a, a).real)[1][:, -1]
-        candidates.insert(0, np.linalg.eigh(np.einsum("k,kcd->cd", axis, _PAULIS))[1])
+        candidates.insert(0, np.linalg.eigh(np.einsum("k,kcd->cd", axis, PAULIS))[1])
     for basis in candidates:
-        if _dephasing_fixes(blocks, basis):
+        if fixed_point_check(rho, basis) <= BLOCK_TOL:
             return DiscordReport("yes", basis)
     # A pure state is classical on C only if it is a product across AB|C,
     # and then the marginal eigenbasis above already passed.
@@ -161,8 +151,7 @@ def fixed_point_check(state, basis: np.ndarray | None = None) -> float:
         raise ValueError(f"basis must be a {dc}x{dc} unitary; deviation {unitary_dev:.3e}")
     diag = _contract(c_blocks(rho), basis.conj().T, basis.T)
     dephased = np.einsum("kxy,ck,dk->xcyd", diag, basis, basis.conj(), optimize=True)
-    side = rho.side
-    return float(np.max(np.abs(dephased.reshape(side, side) - rho.data)))
+    return float(np.max(np.abs(dephased.reshape(rho.data.shape) - rho.data)))
 
 
 @dataclass(frozen=True)
@@ -222,7 +211,7 @@ def certify_state(state, grid=DEFAULT_GRID) -> CertReport:
     The separability scan is skipped (with a reason) when A or B is not
     a qubit or C is not a qubit or qutrit; an invalid grid raises
     ValueError.  The discord basis, when one is found, feeds the
-    fixed-point residual.
+    fixed-point residual, which a "yes" keeps at most BLOCK_TOL.
     """
     rho = as_tripartite(state)
     grid = _check_grid(grid)

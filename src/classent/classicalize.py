@@ -32,9 +32,10 @@ coefficients; ``bells:4`` (dAB = 128) runs in about 0.1 s at a 4 MiB peak.
 For a qubit C, v(pi - x, pi - t) = -conj v(x, t), so a real rho has at flat
 index N - 1 - m the conjugate of the block at m, with the same PT and marginal
 spectra: a pass evaluates the first ceil(N/2) directions and mirrors the rest.
-If <0|rho|1>_C = 0, then <v|rho|v>_C = cos^2 x rho_00 + |e^{-it}|^2 sin^2 x rho_11
-has no t and is even under x -> pi - x, as is rho_AB minus it: one half-column
-serves the grid, copied row by row since cos(pi - x) and -cos x may differ in ulps.
+If both off-diagonal C blocks are exactly zero (fixed_point_check(rho) == 0), then
+<v|rho|v>_C = cos^2 x rho_00 + |e^{-it}|^2 sin^2 x rho_11 has no t and is even under
+x -> pi - x, as is rho_AB minus it: one half-column serves the grid, copied row by
+row since cos(pi - x) and -cos x may differ in ulps.
 """
 
 from __future__ import annotations
@@ -230,12 +231,13 @@ def _grid_pass(state, grid, evaluate) -> tuple:
     """Flat-grid arrays from ``evaluate(kets)``, a tuple of arrays with one entry per
     ket, called on each ``_slices`` slice and joined in grid order.  A qubit C and
     real data evaluate the first ceil(N/2) kets only, and entry N - 1 - m is
-    copied from entry m.  A ``DensityMatrix`` with a qubit C and an exactly zero
-    off-diagonal C block builds and evaluates the t = 0 column only: its first
-    ceil((n_x + 1)/2) rows, row n_x - k copied from row k, each row n_t + 1 times."""
+    copied from entry m.  A ``DensityMatrix`` with a qubit C and both off-diagonal C
+    blocks exactly zero evaluates the t = 0 column only: its first ceil((n_x + 1)/2)
+    rows, row n_x - k copied from row k, each row n_t + 1 times."""
     (nx, nt), dims, rep = _check_grid(grid), state.dims, 1
     data = state.amp if isinstance(state, PureState) else state.data
-    if dims[2] == 2 and isinstance(state, DensityMatrix) and not c_blocks(state)[0, 1].any():
+    if (dims[2] == 2 and isinstance(state, DensityMatrix)
+            and not c_blocks(state)[[0, 1], [1, 0]].any()):
         kets, rep = direction_kets(2, (nx, 1))[::2], nt + 1
     else:
         kets = direction_kets(dims[2], grid)

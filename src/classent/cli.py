@@ -21,7 +21,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import states
-from .classicalize import DEFAULT_GRID, delta, global_value
+from .classicalize import DEFAULT_GRID, _check_grid, delta, global_value
 from .matcore import (
     as_density,
     matrix_to_csv,
@@ -50,7 +50,10 @@ def _parse_grid(text: str) -> tuple[int, int]:
         nx, nt = int(parts[0]), int(parts[1])
     except ValueError:
         raise ArgumentTypeError(f"--grid wants two integers, got {text!r}") from None
-    return nx, nt
+    try:
+        return _check_grid((nx, nt))
+    except ValueError as exc:
+        raise ArgumentTypeError(str(exc)) from None
 
 
 def _parse_range(text: str) -> tuple[float, float, int]:

@@ -30,6 +30,9 @@ RANK_TOL = 1e-8
 # A state with tr(rho^2) this close to 1 counts as pure.
 PURITY_TOL = 1e-10
 
+# sigma_x, sigma_y, sigma_z
+PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
 _LETTERS = "ABCDEFGH"
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matcore import DensityMatrix, PureState, as_ints, kron
+from .matcore import PAULIS, DensityMatrix, PureState, as_ints, kron
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -259,13 +259,10 @@ def heisenberg_thermal(temperature: float) -> DensityMatrix:
     temperature = float(temperature)
     if temperature <= 0.0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
     eye = np.eye(2, dtype=complex)
     ham = np.zeros((8, 8), dtype=complex)
     for i, j in ((0, 1), (1, 2), (2, 0)):
-        for op in (sx, sy, sz):
+        for op in PAULIS:
             factors = [eye, eye, eye]
             factors[i] = op
             factors[j] = op

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from classent import states
-from classent.certify import condition1_check
+from classent.certify import condition1_check, fixed_point_check
 from classent.classicalize import (
     DEFAULT_GRID,
     MeasurementDirection,
@@ -659,15 +659,18 @@ class TestTAxisCollapse:
     def test_only_an_exactly_zero_block_collapses(self):
         # 13 = ceil(25 / 2) rows of GRID; a 1e-14 coherence keeps the mirror half
         # (113) of a real state and the whole grid (225) of a complex one, and a
-        # pure state keeps the Schmidt route's choice
+        # pure state keeps the Schmidt route's choice.  rho is Hermitian only to
+        # HERM_TOL, so a coherence in one off-diagonal C block alone, either one,
+        # blocks the collapse too: it happens iff fixed_point_check(rho) == 0
         rng = np.random.default_rng(29)
         flower, mixed = states.flower_state(2), _diagonal_c(rng, (2, 2, 2))
-        nudge = 1e-14 * np.kron(np.eye(4) / 4, [[0, 1], [1, 0]])
+        lower = 1e-14 * np.kron(np.eye(4) / 4, [[0, 0], [1, 0]])
         amp = np.kron(states.random_pure_state((2, 2), rng).amp, [1, 0])
         cases = [(flower, 13), (mixed, 13), (_diagonal_c(rng, (3, 2, 2)), 13),
-                 (DensityMatrix(flower.data + nudge, flower.dims), 113),
-                 (DensityMatrix(mixed.data + nudge, mixed.dims), 225),
                  (PureState(amp, (2, 2, 2)), 225)]
+        for nudge in (lower + lower.T, lower, lower.T):
+            cases += [(DensityMatrix(flower.data + nudge, flower.dims), 113),
+                      (DensityMatrix(mixed.data + nudge, mixed.dims), 225)]
         for st, want in cases:
             rows = []
 
@@ -677,6 +680,25 @@ class TestTAxisCollapse:
 
             (got,) = _grid_pass(st, GRID, evaluate)
             assert sum(rows) == want and len(got) == 225
+            if isinstance(st, DensityMatrix):
+                assert (want == 13) == (fixed_point_check(st) == 0.0)
+
+    def test_a_one_sided_block_takes_the_full_pass(self):
+        # a Bell block under |0>_C, <0|rho|1>_C = 0 and a 3e-11 block at <1|rho|0>_C,
+        # admitted within HERM_TOL: a collapse would move values by ~1e-10, so the
+        # values must be those of every ket's outcome block in one batch
+        bell = np.zeros((4, 4), dtype=complex)
+        bell[np.ix_([0, 3], [0, 3])] = 0.5
+        tail = 3e-11 * np.exp(1j * np.arange(16).reshape(4, 4))
+        data = (np.kron(bell, [[0.5, 0], [0, 0]]) + np.kron(np.eye(4) / 8, [[0, 0], [0, 1]])
+                + np.kron(tail, [[0, 0], [1, 0]]))
+        st = DensityMatrix(data, (2, 2, 2))
+        rho_ab = _partial_trace_array(st.data, st.dims, (0, 1))
+        k = _outcome_blocks(st, direction_kets(2, GRID))
+        for measure in MeasureKind:
+            first = _weighted_values(k, measure, (2, 2))
+            want = first + _weighted_values(rho_ab - k, measure, (2, 2))
+            assert ensemble_values(st, measure, GRID).tobytes() == want.tobytes()
 
     def test_a_collapsed_pass_builds_the_t0_column_only(self, monkeypatch):
         # 50 = 2 (n_x + 1) kets of the (n_x, 1) grid, every other one kept; the
