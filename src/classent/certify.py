@@ -32,7 +32,8 @@ from .measures import PPT_TOL, SeparabilityVerdict, ppt_verdict
 BLOCK_TOL = 1e-10
 
 # Marginal eigenvalues farther apart than this fix the diagonalizing basis,
-# so failed candidates mean "no"; closer ones leave it open ("undecided").
+# so failed candidates of a qubit C mean "no"; closer ones leave it open
+# ("undecided").  A larger C needs a wider gap (zero_discord_check).
 DEGENERACY_GAP = 1e-8
 
 
@@ -113,6 +114,14 @@ def zero_discord_check(state) -> DiscordReport:
     degenerate marginal, whose eigh basis is only good to ~1e-16/gap.  A candidate
     passes iff ``fixed_point_check`` in its basis is at most BLOCK_TOL.  When none
     passes, a pure or nondegenerate state is "no", the rest "undecided".
+
+    Without an exact candidate (C of dimension d > 2), the gap must also rule out
+    eigh's error.  A state fixed in a basis B has rho_C diagonal in B, so for nonzero
+    gaps B is the eigenbasis.  eigh returns that of rho_C + E, ||E|| <~ d eps, so by
+    Davis-Kahan each computed b'_k has sin(theta_k) <= ||E||/gap, and dephasing in B'
+    moves each term (1 (x) P_k) rho (1 (x) P_k) by at most 2 sin(theta_k): the residual
+    is at most 2 d^2 eps / gap.  So a failed eigenbasis proves "no" only for a gap
+    above 2 d^2 eps / BLOCK_TOL (4.0e-5 for a qutrit).
     """
     rho = as_tripartite(state)
     w, basis = np.linalg.eigh(partial_trace(rho, (2,)).data)
@@ -124,9 +133,11 @@ def zero_discord_check(state) -> DiscordReport:
     for basis in candidates:
         if fixed_point_check(rho, basis) <= BLOCK_TOL:
             return DiscordReport("yes", basis)
+    dc = rho.dims[2]
+    floor = DEGENERACY_GAP if dc == 2 else 2 * dc**2 * np.finfo(float).eps / BLOCK_TOL
     # A pure state is classical on C only if it is a product across AB|C,
     # and then the marginal eigenbasis above already passed.
-    if pure or float(np.min(np.diff(w))) > DEGENERACY_GAP:
+    if pure or float(np.min(np.diff(w))) > floor:
         return DiscordReport("no", None)
     return DiscordReport("undecided", None)
 

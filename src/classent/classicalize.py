@@ -36,10 +36,19 @@ If both off-diagonal C blocks are exactly zero (fixed_point_check(rho) == 0), th
 <v|rho|v>_C = cos^2 x rho_00 + |e^{-it}|^2 sin^2 x rho_11 has no t and is even under
 x -> pi - x, as is rho_AB minus it: one half-column serves the grid, copied row by
 row since cos(pi - x) and -cos x may differ in ulps.
+
+For a qubit C the complement 1 - |v><v| of v(x, t) projects onto (-e^{it} sin x, cos x)
+= e^{it} v(x + pi/2, t) = -e^{it} v(x - pi/2, t), the direction n_x/2 rows away in the
+same t column.  A value p E(sigma) sees the projector, not the phase, so with an even
+n_x the ensemble value at (r, j) is first[r, j] + first[(r + n_x/2) mod n_x, j] and the
+complement pass goes away.  Pure states and collapsed passes take this shift; the
+generic eigen pass waits until a benchmark pin that takes the raw argmax between such
+exact-tie partners follows delta's TIE_TOL rule.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,16 +150,22 @@ def _check_grid(grid) -> tuple[int, int]:
 
 
 def direction_kets(dim_c: int, grid=DEFAULT_GRID) -> np.ndarray:
-    """Stacked kets for every grid direction, shape (N, dim_c).
+    """Stacked kets for every grid direction, shape (N, dim_c), read-only.
 
     Row order is the flat grid index k * (n_t + 1) + j for angle steps
-    (pi k / n_x, pi j / n_t), both endpoints included.
+    (pi k / n_x, pi j / n_t), both endpoints included.  The kets do not
+    depend on the state, so each (dim_c, n_x, n_t) is built once.
     """
-    nx, nt = _check_grid(grid)
-    first = np.pi * np.arange(nx + 1) / nx
-    second = np.pi * np.arange(nt + 1) / nt
-    a, b = np.meshgrid(first, second, indexing="ij")
-    return _kets(dim_c, a, b).reshape(-1, dim_c)
+    return _cached_kets(dim_c, *_check_grid(grid))
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_kets(dim_c: int, nx: int, nt: int) -> np.ndarray:
+    a, b = np.meshgrid(np.pi * np.arange(nx + 1) / nx, np.pi * np.arange(nt + 1) / nt,
+                       indexing="ij")
+    kets = _kets(dim_c, a, b).reshape(-1, dim_c)
+    kets.flags.writeable = False
+    return kets
 
 
 def _kets(dim_c: int, a, b) -> np.ndarray:
@@ -227,6 +242,13 @@ def _outcome_blocks(rho: DensityMatrix, kets: np.ndarray) -> np.ndarray:
     return _contract(c_blocks(rho), kets.conj(), kets)
 
 
+def _collapses(state) -> bool:
+    """Whether a grid pass collapses the t-axis: a ``DensityMatrix`` with a qubit C
+    and both off-diagonal C blocks exactly zero (fixed_point_check(state) == 0)."""
+    return (isinstance(state, DensityMatrix) and state.dims[2] == 2
+            and not c_blocks(state)[[0, 1], [1, 0]].any())
+
+
 def _grid_pass(state, grid, evaluate) -> tuple:
     """Flat-grid arrays from ``evaluate(kets)``, a tuple of arrays with one entry per
     ket, called on each ``_slices`` slice and joined in grid order.  A qubit C and
@@ -236,8 +258,7 @@ def _grid_pass(state, grid, evaluate) -> tuple:
     rows, row n_x - k copied from row k, each row n_t + 1 times."""
     (nx, nt), dims, rep = _check_grid(grid), state.dims, 1
     data = state.amp if isinstance(state, PureState) else state.data
-    if (dims[2] == 2 and isinstance(state, DensityMatrix)
-            and not c_blocks(state)[[0, 1], [1, 0]].any()):
+    if _collapses(state):
         kets, rep = direction_kets(2, (nx, 1))[::2], nt + 1
     else:
         kets = direction_kets(dims[2], grid)
@@ -352,7 +373,8 @@ def _schmidt_values(phi: np.ndarray, measure: MeasureKind, probs: np.ndarray) ->
 
 
 def _schmidt_outcomes(psi: PureState, measure: MeasureKind, kets: np.ndarray, complement: bool):
-    """``_grid_outcomes`` of a pure state on rows v_n of ``kets``, from phi_n = <v_n|_C psi."""
+    """``_grid_outcomes`` of a pure state on rows v_n of ``kets``, from phi_n = <v_n|_C psi.
+    Its v-perp kets serve an odd n_x only: an even one reads partner rows instead."""
     da, db, dc = psi.dims
     amps = psi.amp.reshape(da * db, dc)
     n = len(kets)
@@ -381,7 +403,18 @@ def _grid_outcomes(state, measure: MeasureKind, grid, complement=True):
     p_n E[sigma_n (x) |0><0|], then, with ``complement``, the ensemble values,
     which add the complement outcome.  A ``PureState`` (tripartite, as its
     caller checks) takes the Schmidt route, a ``DensityMatrix`` the eigen route.
+    With a qubit C and an even n_x, a pure or collapsed state reads each
+    complement value from its partner row r +- n_x/2 (module docstring); an odd
+    n_x, a qutrit C and the generic eigen pass evaluate the complement outcome.
     """
+    nx = grid[0]
+    # deleting the PureState-or-collapsed test gives the generic eigen pass the shift
+    # too (ROADMAP item 2a), once the benchmark pins best by delta's tie rule
+    if complement and state.dims[2] == 2 and nx % 2 == 0 and (
+            isinstance(state, PureState) or _collapses(state)):
+        probs, first = _grid_outcomes(state, measure, grid, complement=False)
+        partner = (np.arange(nx + 1) + nx // 2) % nx
+        return probs, first, first + first.reshape(nx + 1, -1)[partner].ravel()
     if isinstance(state, PureState):
         return _grid_pass(state, grid, lambda v: _schmidt_outcomes(state, measure, v, complement))
     rho = as_tripartite(state)

@@ -196,6 +196,18 @@ class TestZeroDiscord:
             # pass BLOCK_TOL with ~1e-10 left, is never the one reported
             assert fixed_point_check(st, rep.basis) <= 1e-15
 
+    @pytest.mark.parametrize("eps", [1e-8, 3e-8, 1e-7])
+    def test_nearly_degenerate_qutrit_c_is_never_no(self, eps):
+        # exactly classical with weights 1/3 +- eps, 1/3 in a Haar basis: a qutrit
+        # C has no exact candidate and eigh's basis is off by ~1e-17/eps, so a gap
+        # too small to rule that out leaves "undecided", never "no"
+        rng = np.random.default_rng(1)
+        for _ in range(13):
+            g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            mat = sum(w * kron(states.random_density_matrix((2, 2), rng).data, np.outer(b, b.conj()))
+                      for w, b in zip((1 / 3 + eps, 1 / 3 - eps, 1 / 3), np.linalg.qr(g)[0].T))
+            assert zero_discord_check(DensityMatrix(mat, (2, 2, 3))).status != "no"
+
     def test_catalog_statuses(self):
         # "no" only from the pure and nondegenerate rules; the degenerate
         # mixed states whose Pauli axis fails stay undecided

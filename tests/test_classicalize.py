@@ -76,6 +76,14 @@ class TestDirectionGrid:
         with pytest.raises(ValueError):
             direction_kets(4, GRID)
 
+    def test_kets_are_built_once_and_read_only(self):
+        kets = direction_kets(2, GRID)
+        assert direction_kets(2, list(GRID)) is kets
+        a, b = np.meshgrid(np.pi * np.arange(25) / 24, np.pi * np.arange(9) / 8, indexing="ij")
+        assert kets.tobytes() == ccl._kets(2, a, b).reshape(-1, 2).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            kets[0, 0] = 0.0
+
     def test_direction_grid_matches_kets(self):
         kets = direction_kets(2, (4, 2))
         assert kets.shape[0] == 5 * 3
@@ -719,6 +727,65 @@ class TestTAxisCollapse:
             built.clear()
             ensemble_values(st, MeasureKind.NEGATIVITY, GRID)
             assert built == [want]
+
+
+def _shift_inputs():
+    """Complex and real pure qubit-C states, bells:2..3, flower:2..3, a C-diagonal state."""
+    rng = np.random.default_rng(41)
+    return ([states.random_pure_state((2, 2, 2), rng), _real_pure(rng, (2, 3, 2))]
+            + [states.parse_state_spec(spec) for spec in ("bells:2", "bells:3", "flower:2",
+                                                          "flower:3")]
+            + [_diagonal_c(rng, (2, 2, 2))])
+
+
+def _complement_pass(st, measure, grid):
+    """Ensemble values with the complement outcome evaluated: the v-perp kets of
+    the Schmidt route, or rho_AB - K on the eigen route."""
+    kets = direction_kets(2, grid)
+    if isinstance(st, PureState):
+        return ccl._schmidt_outcomes(st, measure, kets, complement=True)[2]
+    k, dims_ab = _outcome_blocks(st, kets), st.dims[:2]
+    rho_ab = _partial_trace_array(st.data, st.dims, (0, 1))
+    return _weighted_values(k, measure, dims_ab) + _weighted_values(rho_ab - k, measure, dims_ab)
+
+
+class TestComplementShift:
+    # for a qubit C the complement of v(x, t) is v(x + pi/2, t) up to a phase, so a
+    # pure or collapsed pass on an even n_x reads it from the row n_x/2 away
+    @pytest.mark.parametrize("grid", [GRID, DEFAULT_GRID], ids=["GRID", "DEFAULT_GRID"])
+    def test_partner_rows_agree_bit_for_bit(self, grid):
+        # row n_x is left out: v(pi, t) and v(0, t) differ in the last bit
+        nx, nt = grid
+        partner = [r + nx // 2 if r < nx // 2 else r - nx // 2 for r in range(nx)]
+        for st in _shift_inputs():
+            for measure in MeasureKind:
+                vals = ensemble_values(st, measure, grid).reshape(nx + 1, nt + 1)
+                assert vals[:nx].tobytes() == vals[partner].tobytes()
+
+    def test_values_match_the_complement_pass_and_the_oracle(self):
+        for st in _shift_inputs():
+            rho = st.projector() if isinstance(st, PureState) else st
+            for measure in MeasureKind:
+                vals = ensemble_values(st, measure, GRID)
+                assert np.abs(vals - _complement_pass(st, measure, GRID)).max() <= 1e-14
+                assert np.abs(vals - _oracle_values(rho, measure, GRID)).max() <= 1e-12
+
+    @pytest.mark.parametrize("grid", [GRID, DEFAULT_GRID], ids=["GRID", "DEFAULT_GRID"])
+    def test_the_generic_eigen_pass_keeps_its_complement(self, grid):
+        # complex and coherent on C: every value is first + W(rho_AB - K), byte for byte
+        st = states.random_density_matrix((2, 2, 2), np.random.default_rng(43))
+        for measure in MeasureKind:
+            want = _complement_pass(st, measure, grid)
+            assert ensemble_values(st, measure, grid).tobytes() == want.tobytes()
+
+    def test_an_odd_n_x_matches_the_oracle(self):
+        # x + pi/2 is off the (25, 8) grid, so both routes evaluate the complement
+        rng = np.random.default_rng(47)
+        for st in (states.random_pure_state((2, 2, 2), rng), _diagonal_c(rng, (2, 2, 2))):
+            rho = st.projector() if isinstance(st, PureState) else st
+            for measure in MeasureKind:
+                got = ensemble_values(st, measure, (25, 8))
+                assert np.abs(got - _oracle_values(rho, measure, (25, 8))).max() <= 1e-12
 
 
 def _haar_unitary(rng, d):
