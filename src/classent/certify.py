@@ -44,7 +44,8 @@ class Condition1Report:
     On "pass", witness is the worst normalized partial-transpose
     eigenvalue encountered and direction is None.  On "fail", witness
     and direction identify the first grid direction (lowest flat index)
-    whose post state is NPT.
+    whose post state is NPT.  For a qutrit C the scan covers real
+    directions only, the grid's, so a "pass" says nothing of complex ones.
     """
 
     status: str
@@ -66,7 +67,8 @@ def condition1_check(state, grid=DEFAULT_GRID) -> Condition1Report:
     decisive, so a full pass certifies complete entanglement loss.
     Directions with p_x below the zero-probability threshold are
     skipped, and a normalized partial-transpose eigenvalue below
-    ``-PPT_TOL`` fails the scan.
+    ``-PPT_TOL`` fails the scan.  For a qutrit C the grid holds real
+    directions only (``Condition1Report``).
     """
     rho = as_tripartite(state)
     if rho.dims[:2] != (2, 2):
@@ -160,9 +162,10 @@ def fixed_point_check(state, basis: np.ndarray | None = None) -> float:
     unitary_dev = float(np.max(np.abs(basis.conj().T @ basis - np.eye(dc))))
     if unitary_dev > 1e-10:
         raise ValueError(f"basis must be a {dc}x{dc} unitary; deviation {unitary_dev:.3e}")
-    diag = _contract(c_blocks(rho), basis.conj().T, basis.T)
-    dephased = np.einsum("kxy,ck,dk->xcyd", diag, basis, basis.conj(), optimize=True)
-    return float(np.max(np.abs(dephased.reshape(rho.data.shape) - rho.data)))
+    blocks = c_blocks(rho)
+    diag = _contract(blocks, basis.conj().T, basis.T)
+    dephased = np.einsum("kab,ck,dk->cdab", diag, basis, basis.conj(), optimize=True)
+    return float(np.max(np.abs(dephased - blocks)))
 
 
 @dataclass(frozen=True)

@@ -37,13 +37,14 @@ If both off-diagonal C blocks are exactly zero (fixed_point_check(rho) == 0), th
 x -> pi - x, as is rho_AB minus it: one half-column serves the grid, copied row by
 row since cos(pi - x) and -cos x may differ in ulps.
 
-For a qubit C the complement 1 - |v><v| of v(x, t) projects onto (-e^{it} sin x, cos x)
-= e^{it} v(x + pi/2, t) = -e^{it} v(x - pi/2, t), the direction n_x/2 rows away in the
-same t column.  A value p E(sigma) sees the projector, not the phase, so with an even
-n_x the ensemble value at (r, j) is first[r, j] + first[(r + n_x/2) mod n_x, j] and the
-complement pass goes away.  Pure states and collapsed passes take this shift; the
-generic eigen pass waits until a benchmark pin that takes the raw argmax between such
-exact-tie partners follows delta's TIE_TOL rule.
+For a qubit C the complement 1 - |v><v| of v(x, t) projects onto v-perp = (-e^{it} sin x,
+cos x) = e^{it} v(x + pi/2, t) = -e^{it} v(x - pi/2, t).  A value p E(sigma) sees the
+projector, not the phase, so the complement value is the first-outcome value of v-perp.
+Pure states take this one rule, as do collapsed passes on an even n_x: there v-perp is
+the direction n_x/2 rows away in the same t column, and the ensemble value at (r, j) is
+first[r, j] + first[(r + n_x/2) mod n_x, j]; on an odd n_x the Schmidt route evaluates
+v-perp's first outcome.  Other eigen passes keep rho_AB - <v|rho|v> until a benchmark
+pin that takes the raw argmax between exact-tie partners follows delta's TIE_TOL rule.
 """
 
 from __future__ import annotations
@@ -374,24 +375,22 @@ def _schmidt_values(phi: np.ndarray, measure: MeasureKind, probs: np.ndarray) ->
 
 def _schmidt_outcomes(psi: PureState, measure: MeasureKind, kets: np.ndarray, complement: bool):
     """``_grid_outcomes`` of a pure state on rows v_n of ``kets``, from phi_n = <v_n|_C psi.
-    Its v-perp kets serve an odd n_x only: an even one reads partner rows instead."""
+    A qubit C's complement is the first outcome of v-perp, evaluated here for an odd
+    n_x only: an even one reads it from the partner row instead."""
     da, db, dc = psi.dims
     amps = psi.amp.reshape(da * db, dc)
-    n = len(kets)
-    if complement and dc == 2:
-        # 1 - |v><v| = |v'><v'| with v' = (-v_1^*, v_0^*), so it is rank one too
-        kets = np.concatenate([kets, np.stack([-kets[:, 1].conj(), kets[:, 0].conj()], axis=1)])
     phi = (kets.conj() @ amps.T).reshape(-1, da, db)
     re_im = phi.reshape(len(phi), -1).view(float)
     probs = np.einsum("ni,ni->n", re_im, re_im)
-    values = _schmidt_values(phi, measure, probs)
-    first = values[:n]
+    first = _schmidt_values(phi, measure, probs)
     if not complement:
         return probs, first
     if dc == 2:
-        return probs[:n], first, first + values[n:]
+        # 1 - |v><v| = |v'><v'| with v' = (-v_1^*, v_0^*), so it is rank one too
+        perp = np.stack([-kets[:, 1].conj(), kets[:, 0].conj()], axis=1)
+        return probs, first, first + _schmidt_outcomes(psi, measure, perp, False)[1]
     # a qutrit C leaves the rank-two complement rho_AB - |phi_n><phi_n|
-    ket = phi.reshape(n, -1, 1)
+    ket = phi.reshape(len(kets), -1, 1)
     rest = amps @ amps.conj().T - ket * ket.conj().transpose(0, 2, 1)
     return probs, first, first + _weighted_values(rest, measure, (da, db))
 
@@ -403,9 +402,10 @@ def _grid_outcomes(state, measure: MeasureKind, grid, complement=True):
     p_n E[sigma_n (x) |0><0|], then, with ``complement``, the ensemble values,
     which add the complement outcome.  A ``PureState`` (tripartite, as its
     caller checks) takes the Schmidt route, a ``DensityMatrix`` the eigen route.
-    With a qubit C and an even n_x, a pure or collapsed state reads each
-    complement value from its partner row r +- n_x/2 (module docstring); an odd
-    n_x, a qutrit C and the generic eigen pass evaluate the complement outcome.
+    With a qubit C the complement value of a pure state, or of a collapsed one on
+    an even n_x, is the first outcome of v-perp (module docstring): an even n_x
+    reads it from the partner row r +- n_x/2, an odd n_x evaluates it on the
+    Schmidt route.  A qutrit C and the other eigen passes evaluate rho_AB - <v|rho|v>.
     """
     nx = grid[0]
     # deleting the PureState-or-collapsed test gives the generic eigen pass the shift
@@ -521,7 +521,8 @@ def lower_bound(state, measure=MeasureKind.NEGATIVITY, grid=DEFAULT_GRID) -> flo
     a direction, so for even grids this is never above ``delta``.  The
     floor is proved for negativity only (other measures raise
     ValueError), and is -inf when every grid direction's first outcome
-    is negligible.
+    is negligible.  For a qutrit C it covers real directions only, the
+    grid's: a complex measurement can lose less.
     """
     measure = _bounded(measure)
     rho = as_tripartite(state)

@@ -111,14 +111,6 @@ class DensityMatrix:
         object.__setattr__(self, "data", mat)
         object.__setattr__(self, "dims", dims)
 
-    @property
-    def side(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n_subsystems(self) -> int:
-        return len(self.dims)
-
 
 @dataclass(frozen=True)
 class PureState:
@@ -199,7 +191,7 @@ def as_density(state) -> DensityMatrix:
 def as_tripartite(state) -> DensityMatrix:
     """Coerce like :func:`as_density`, rejecting anything but three subsystems."""
     rho = as_density(state)
-    if rho.n_subsystems != 3:
+    if len(rho.dims) != 3:
         raise ValueError(f"expected a tripartite state, got dims {rho.dims}")
     return rho
 
@@ -238,7 +230,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         Reduced state on the kept subsystems, in their original order.
     """
     keep = as_ints(keep, "kept subsystems")
-    n = rho.n_subsystems
+    n = len(rho.dims)
     if not keep:
         raise ValueError("cannot trace out everything")
     if list(keep) != sorted(set(keep)) or keep[0] < 0 or keep[-1] >= n:
@@ -270,7 +262,7 @@ def partial_transpose(rho: DensityMatrix, part: Bipartition) -> np.ndarray:
     Returns a plain Hermitian matrix, since a negative partial-transpose
     spectrum is exactly what the entanglement witnesses look for.
     """
-    part.check_covers(rho.n_subsystems)
+    part.check_covers(len(rho.dims))
     return _partial_transpose_array(rho.data, rho.dims, part.right)
 
 

@@ -28,6 +28,9 @@ from .matcore import (
     von_neumann_entropy,
 )
 
+# Far below matcore.PSD_TOL (1e-9): a state admitted with eigenvalues down to
+# -PSD_TOL can read negativities and grid values of order PSD_TOL (3.6e-9 measured)
+# that come from its own negative eigenvalues, not from entanglement.
 NEG_EIG_THRESHOLD = 1e-12
 
 # A partial-transpose eigenvalue below -PPT_TOL witnesses entanglement.
@@ -64,12 +67,6 @@ class SeparabilityVerdict:
         return self.status == "entangled"
 
 
-def negsum(eigenvalues: np.ndarray) -> float:
-    """Total magnitude of eigenvalues below ``-NEG_EIG_THRESHOLD``."""
-    w = eigenvalues[eigenvalues < -NEG_EIG_THRESHOLD]
-    return float(-w.sum()) if w.size else 0.0
-
-
 def negativity(state, part: Bipartition) -> float:
     """Negativity across ``part``: the weight of the negative PT spectrum.
 
@@ -84,9 +81,9 @@ def negativity(state, part: Bipartition) -> float:
         Sum of |lambda| over partial-transpose eigenvalues lambda below
         the noise threshold; zero for PPT states.
     """
-    rho = as_density(state)
-    w = np.linalg.eigvalsh(partial_transpose(rho, part))
-    return negsum(w)
+    w = np.linalg.eigvalsh(partial_transpose(as_density(state), part))
+    w = w[w < -NEG_EIG_THRESHOLD]
+    return float(-w.sum()) if w.size else 0.0
 
 
 def pure_negativity_schmidt(psi: PureState, part: Bipartition) -> float:
@@ -137,7 +134,7 @@ def post_value(measure, sigma) -> float:
     """
     measure = as_measure(measure)
     sigma = as_density(sigma)
-    if sigma.n_subsystems != 2:
+    if len(sigma.dims) != 2:
         raise ValueError(f"post-measurement states are bipartite, got dims {sigma.dims}")
     if measure is MeasureKind.NEGATIVITY:
         return 2.0 * negativity(sigma, Bipartition((0,), (1,)))

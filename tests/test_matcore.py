@@ -32,8 +32,8 @@ def random_density(rng, dims, rank=None):
 class TestDensityMatrix:
     def test_accepts_maximally_mixed(self):
         rho = DensityMatrix(np.eye(4) / 4, (2, 2))
-        assert rho.side == 4
-        assert rho.n_subsystems == 2
+        assert rho.data.shape == (4, 4)
+        assert rho.dims == (2, 2)
 
     def test_rejects_non_hermitian(self):
         m = np.eye(4) / 4

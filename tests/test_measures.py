@@ -17,7 +17,6 @@ from classent.measures import (
     MeasureKind,
     as_measure,
     negativity,
-    negsum,
     post_value,
     ppt_verdict,
     pure_negativity_schmidt,
@@ -55,9 +54,16 @@ def test_as_measure_accepts_both_forms():
         as_measure("concurrence")
 
 
-def test_negsum_threshold():
-    eigs = np.array([-0.2, -1e-14, 0.5, 0.7])
-    assert negsum(eigs) == pytest.approx(0.2, abs=1e-12)
+def test_negativity_threshold():
+    # (|00><00| + |11><11|)/2 + c(|00><11| + |11><00|) has the PT block [[0, c], [c, 0]]
+    # on |01>, |10>, so its one negative PT eigenvalue is -c
+    for c, want in ((0.2, 0.2), (1e-14, 0.0)):
+        m = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
+        m[0, 3] = m[3, 0] = c
+        got = negativity(DensityMatrix(m, (2, 2)), AB)
+        assert got == pytest.approx(want, abs=1e-12)
+    # below the threshold the spectrum is PPT: +0.0, not -0.0
+    assert got == 0.0 and not np.signbit(got)
 
 
 def test_bell_negativity_half():
