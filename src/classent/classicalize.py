@@ -24,10 +24,12 @@ The grid is evaluated in contiguous slices of the flat direction order,
 each as many directions as STACK_BYTES of dAB x dAB blocks hold, with the
 numbers of one batch: a random 4x4x2 state (dAB = 16) peaks near 16 MiB.  Under
 negativity with qubit A and B, a block whose partial-transpose determinant is
-provably positive is PPT and skips the eigensolve.  A ``PureState`` keeps its
-vector: each outcome is rank one, so a slice holds only the dA dB amplitudes
-<v_n|_C psi of its directions and reads both measures from their Schmidt
-coefficients; ``bells:4`` (dAB = 128) runs in about 0.1 s at a 4 MiB peak.
+provably positive is PPT and skips the eigensolve: such a pass builds its blocks as
+contiguous entry rows (16, n) behind an (n, 4, 4) view, reads K^G through the map
+_PT_ROWS and copies only the unscreened blocks.
+A ``PureState`` keeps its vector: each outcome is rank one, so a slice holds only the
+dA dB amplitudes <v_n|_C psi of its directions and reads both measures from their
+Schmidt coefficients; ``bells:4`` (dAB = 128) runs in about 0.1 s at a 4 MiB peak.
 
 For a qubit C, v(pi - x, pi - t) = -conj v(x, t), so a real rho has at flat
 index N - 1 - m the conjugate of the block at m, with the same PT and marginal
@@ -225,9 +227,10 @@ def classicalize(state, direction: MeasurementDirection) -> list[MeasurementOutc
 # ---------------------------------------------------------------------------
 
 
-def _contract(blocks: np.ndarray, bras: np.ndarray, kets: np.ndarray) -> np.ndarray:
-    """Stacked <l_n|_C rho |r_n>_C, (N, dAB, dAB), from rows l_n^* and r_n."""
-    return np.einsum("nc,cdab,nd->nab", bras, blocks, kets, optimize=True)
+def _contract(blocks: np.ndarray, bras: np.ndarray, kets: np.ndarray, out="nab") -> np.ndarray:
+    """Stacked <l_n|_C rho |r_n>_C, (N, dAB, dAB), from rows l_n^* and r_n; ``out="abn"``
+    stores the same products as entry rows (dAB, dAB, N)."""
+    return np.einsum(f"nc,cdab,nd->{out}", bras, blocks, kets, optimize=True, order="C")
 
 
 def _slices(n: int, side: int) -> list[slice]:
@@ -238,8 +241,11 @@ def _slices(n: int, side: int) -> list[slice]:
     return [slice(n * i // count, n * (i + 1) // count) for i in range(count)]
 
 
-def _outcome_blocks(rho: DensityMatrix, kets: np.ndarray) -> np.ndarray:
-    """<v_n|_C rho |v_n>_C = p_n sigma_n for the rows v_n of ``kets``, (n, dAB, dAB)."""
+def _outcome_blocks(rho: DensityMatrix, kets: np.ndarray, as_rows=False) -> np.ndarray:
+    """<v_n|_C rho |v_n>_C = p_n sigma_n for the rows v_n of ``kets``, (n, dAB, dAB);
+    with ``as_rows`` the stack is a view of contiguous entry rows, one per matrix entry."""
+    if as_rows:
+        return np.moveaxis(_contract(c_blocks(rho), kets.conj(), kets, "abn"), -1, 0)
     return _contract(c_blocks(rho), kets.conj(), kets)
 
 
@@ -271,14 +277,19 @@ def _grid_pass(state, grid, evaluate) -> tuple:
                  for a in map(np.concatenate, parts))
 
 
+# Row of entry (i, j) of K^G in the entry rows (16, n) of 4x4 blocks K
+_PT_ROWS = _partial_transpose_array(np.arange(16).reshape(4, 4), (2, 2), (0,))
+
+
 def _traces(k: np.ndarray) -> np.ndarray:
     """Real traces of the stacked blocks k, (N,)."""
     return np.einsum("nii->n", k).real
 
 
-def _ppt_by_det(pt: np.ndarray) -> np.ndarray:
-    """Mask of the stacked 4x4 partial transposes K^G that det K^G > 0 proves PPT.
+def _ppt_by_det(rows: np.ndarray) -> np.ndarray:
+    """Mask of the 4x4 blocks K, as entry rows (16, n), that det K^G > 0 proves PPT.
 
+    Row 4a + b holds entry (a, b); K^G is read through ``_PT_ROWS``, never copied.
     A two-qubit partial transpose has at most one negative eigenvalue
     (Sanpera, Tarrach & Vidal, PRA 58, 826, 1998), so a positive
     determinant proves PPT (Augusiak, Demianowicz & Horodecki, PRA 77,
@@ -300,15 +311,16 @@ def _ppt_by_det(pt: np.ndarray) -> np.ndarray:
     eigvalsh finds no eigenvalue below -NEG_EIG_THRESHOLD, and the block
     is worth -0.0 on either route.  A zero block is never screened.
     """
+    pt = [[rows[i] for i in line] for line in _PT_ROWS]  # views: K^G entry (r, j) is pt[r][j]
 
     def minor(r, j, k):
-        return pt[:, r, j] * pt[:, r + 1, k] - pt[:, r, k] * pt[:, r + 1, j]
+        return pt[r][j] * pt[r + 1][k] - pt[r][k] * pt[r + 1][j]
 
     det = (minor(0, 0, 1) * minor(2, 2, 3) - minor(0, 0, 2) * minor(2, 1, 3)
            + minor(0, 0, 3) * minor(2, 1, 2) + minor(0, 1, 2) * minor(2, 0, 3)
            - minor(0, 1, 3) * minor(2, 0, 2) + minor(0, 2, 3) * minor(2, 0, 1)).real
     gap = 4 * PSD_TOL + 16 * HERM_TOL
-    big_m = np.diagonal(pt, axis1=1, axis2=2).real.max(axis=1) + 3 * gap
+    big_m = rows[::5].real.max(axis=0) + 3 * gap
     return det > big_m**3 * (32 * 24 * np.finfo(float).eps / 2 * big_m + 1024 * gap)
 
 
@@ -321,10 +333,16 @@ def _weighted_values(k: np.ndarray, measure: MeasureKind, dims_ab) -> np.ndarray
     if measure is MeasureKind.NEGATIVITY:
         # Negativity scales linearly, so the weight p never needs to be
         # divided out: p * 2 N(sigma) = 2 N(<v|rho|v>).
-        pt = _partial_transpose_array(k, dims_ab, (0,))
-        todo = ~_ppt_by_det(pt) if dims_ab == (2, 2) else slice(None)
-        out = np.full(len(pt), -0.0)
-        w = np.linalg.eigvalsh(pt[todo])
+        if dims_ab == (2, 2):
+            # entry rows, a view, contiguous for _outcome_blocks(..., as_rows=True);
+            # only the unscreened blocks are copied
+            flat = k.reshape(len(k), 16)
+            todo = ~_ppt_by_det(flat.T)
+            pt = flat[todo][:, _PT_ROWS]
+        else:
+            todo, pt = slice(None), _partial_transpose_array(k, dims_ab, (0,))
+        out = np.full(len(k), -0.0)
+        w = np.linalg.eigvalsh(pt)
         out[todo] = 2.0 * -np.where(w < -NEG_EIG_THRESHOLD, w, 0.0).sum(axis=1)
         return out
     # p (S(A) + S(B)) / 2 of the normalized marginals; zero where negligible
@@ -419,9 +437,11 @@ def _grid_outcomes(state, measure: MeasureKind, grid, complement=True):
         return _grid_pass(state, grid, lambda v: _schmidt_outcomes(state, measure, v, complement))
     rho = as_tripartite(state)
     dims_ab, rho_ab = rho.dims[:2], _partial_trace_array(rho.data, rho.dims, (0, 1))
+    # the determinant screen reads each entry of a two-qubit block as a contiguous row
+    as_rows = measure is MeasureKind.NEGATIVITY and dims_ab == (2, 2)
 
     def evaluate(kets):
-        k = _outcome_blocks(rho, kets)
+        k = _outcome_blocks(rho, kets, as_rows)
         p, first = _traces(k), _weighted_values(k, measure, dims_ab)
         if not complement:
             return p, first

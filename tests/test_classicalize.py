@@ -319,10 +319,32 @@ def _eigen_route(k, dims_ab=(2, 2)):
     return 2.0 * -np.where(w < -NEG_EIG_THRESHOLD, w, 0.0).sum(axis=1)
 
 
+def _entry_rows(k):
+    """Contiguous entry rows (16, n) of the stacked 4x4 blocks k, the layout the
+    negativity pass builds: row 4a + b holds entry (a, b) of every block."""
+    return np.ascontiguousarray(k.reshape(len(k), 16).T)
+
+
 def _screened_eigenvalues(k):
     """PT eigenvalues of the stacked 4x4 blocks the determinant screens out."""
     pt = _partial_transpose_array(k, (2, 2), (0,))
-    return np.linalg.eigvalsh(pt[_ppt_by_det(pt)])
+    return np.linalg.eigvalsh(pt[_ppt_by_det(_entry_rows(k))])
+
+
+def _whole_block_outcomes(st, grid, complement):
+    """``_grid_outcomes`` of a mixed two-qubit-AB state under negativity, rebuilt on
+    the same walker from whole (n, 4, 4) blocks: ``_outcome_blocks``, then
+    ``_partial_transpose_array`` and eigvalsh on every block."""
+    rho_ab = _partial_trace_array(st.data, st.dims, (0, 1))
+
+    def evaluate(kets):
+        k = _outcome_blocks(st, kets)
+        first = _eigen_route(k)
+        if not complement:
+            return ccl._traces(k), first
+        return ccl._traces(k), first, first + _eigen_route(rho_ab - k)
+
+    return _grid_pass(st, grid, evaluate)
 
 
 # the benchmark's catalog specs: all but ghz3, sym3 (3x3x3), flower:3
@@ -384,10 +406,10 @@ class TestDeterminantScreen:
         assert w.size == 0 or w.min() >= -NEG_EIG_THRESHOLD
         # far from the boundary the screen does fire
         far = (0.2 * np.outer(singlet, singlet) + 0.8 * np.eye(4) / 4).astype(complex)
-        assert _ppt_by_det(far[None]).all()
+        assert _ppt_by_det(_entry_rows(far[None])).all()
 
     def test_zero_block_is_not_screened(self):
-        assert not _ppt_by_det(np.zeros((1, 4, 4), complex)).any()
+        assert not _ppt_by_det(np.zeros((16, 1), complex)).any()
 
     def test_validator_slack_is_not_screened_away(self):
         # rho may carry eigenvalues down to -PSD_TOL; two of them in one
@@ -419,9 +441,34 @@ class TestDeterminantScreen:
                 got = _weighted_values(k, MeasureKind.NEGATIVITY, dims_ab)
                 assert got.tobytes() == _eigen_route(k, dims_ab).tobytes()
                 if dims_ab == (2, 2):
-                    pt = _partial_transpose_array(k, dims_ab, (0,))
-                    screened += int(_ppt_by_det(pt).sum())
+                    screened += int(_ppt_by_det(_entry_rows(k)).sum())
         assert screened > 0
+
+    @pytest.mark.parametrize("grid", [GRID, DEFAULT_GRID], ids=["GRID", "DEFAULT_GRID"])
+    def test_the_rows_pass_matches_whole_blocks(self, grid):
+        # the pass builds its blocks as entry rows behind a stack view, subtracts them
+        # from rho_AB in place and reads K^G through _PT_ROWS; probabilities, first
+        # outcomes and ensemble values must be the bytes of whole blocks.  tilde is real, so mirrored; flower:2 collapses,
+        # and its complement comes from the partner rows n_x/2 away
+        rng = np.random.default_rng(53)
+        dims = [(2, 2, 2)] * 3 + [(2, 2, 3)] * 2
+        sts = [states.random_density_matrix(d, rng) for d in dims]
+        for st in map(states.parse_state_spec, _CATALOG):
+            if st.dims[:2] == (2, 2):
+                sts.append(st.projector() if isinstance(st, PureState) else st)
+        nx = grid[0]
+        partner = (np.arange(nx + 1) + nx // 2) % nx
+        for st in sts:
+            probs, first = _whole_block_outcomes(st, grid, complement=False)
+            if ccl._collapses(st):
+                values = first + first.reshape(nx + 1, -1)[partner].ravel()
+            else:
+                values = _whole_block_outcomes(st, grid, complement=True)[2]
+            want = [a.tobytes() for a in (probs, first, values)]
+            got = _grid_outcomes(st, MeasureKind.NEGATIVITY, grid, complement=False)
+            assert [a.tobytes() for a in got] == want[:2]
+            got = _grid_outcomes(st, MeasureKind.NEGATIVITY, grid)
+            assert [a.tobytes() for a in got] == want
 
 
 # the random pure inputs of TestSchmidtKernel: the determinant (2x2), the
