@@ -224,15 +224,16 @@ def certify_state(state, grid=DEFAULT_GRID) -> CertReport:
 
     The separability scan is skipped (with a reason) when A or B is not
     a qubit or C is not a qubit or qutrit; an invalid grid raises
-    ValueError.  The discord basis, when one is found, feeds the
-    fixed-point residual, which a "yes" keeps at most BLOCK_TOL.
+    ValueError, a failed eigensolve LinAlgError.  The discord basis, when
+    one is found, feeds the fixed-point residual (at most BLOCK_TOL on "yes").
     """
     rho = as_tripartite(state)
     grid = _check_grid(grid)
-    condition1 = None
-    skipped = None
+    condition1 = skipped = None
     try:
         condition1 = condition1_check(rho, grid=grid)
+    except np.linalg.LinAlgError:
+        raise  # a numerical failure, not a reason to skip the scan
     except ValueError as exc:
         skipped = str(exc)
     discord = zero_discord_check(rho)

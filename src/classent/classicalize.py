@@ -42,11 +42,13 @@ row since cos(pi - x) and -cos x may differ in ulps.
 For a qubit C the complement 1 - |v><v| of v(x, t) projects onto v-perp = (-e^{it} sin x,
 cos x) = e^{it} v(x + pi/2, t) = -e^{it} v(x - pi/2, t).  A value p E(sigma) sees the
 projector, not the phase, so the complement value is the first-outcome value of v-perp.
-Pure states take this one rule, as do collapsed passes on an even n_x: there v-perp is
-the direction n_x/2 rows away in the same t column, and the ensemble value at (r, j) is
-first[r, j] + first[(r + n_x/2) mod n_x, j]; on an odd n_x the Schmidt route evaluates
-v-perp's first outcome.  Other eigen passes keep rho_AB - <v|rho|v> until a benchmark
-pin that takes the raw argmax between exact-tie partners follows delta's TIE_TOL rule.
+Pure and collapsed passes take this one rule on the grid (n, n_t), n = n_x for an even n_x
+and 2 n_x for an odd one: v-perp is the direction n/2 rows away in the same t column, so
+the ensemble value at row r is first[r] + first[(r + n/2) mod n], kept at the rows
+r = n k / n_x.  Their kets are the (n_x, n_t) grid's bit for bit, since pi 2k / 2n_x
+doubles both operands of pi k / n_x and doubling is exact.  Other eigen passes keep
+rho_AB - <v|rho|v> until a benchmark pin that takes the raw argmax between exact-tie
+partners follows delta's TIE_TOL rule.
 """
 
 from __future__ import annotations
@@ -393,8 +395,8 @@ def _schmidt_values(phi: np.ndarray, measure: MeasureKind, probs: np.ndarray) ->
 
 def _schmidt_outcomes(psi: PureState, measure: MeasureKind, kets: np.ndarray, complement: bool):
     """``_grid_outcomes`` of a pure state on rows v_n of ``kets``, from phi_n = <v_n|_C psi.
-    A qubit C's complement is the first outcome of v-perp, evaluated here for an odd
-    n_x only: an even one reads it from the partner row instead."""
+    The complement evaluated here is rho_AB - |phi_n><phi_n|, of rank dC - 1: only a
+    qutrit C reaches it, as ``_grid_outcomes`` reads a qubit C's from partner rows."""
     da, db, dc = psi.dims
     amps = psi.amp.reshape(da * db, dc)
     phi = (kets.conj() @ amps.T).reshape(-1, da, db)
@@ -403,11 +405,6 @@ def _schmidt_outcomes(psi: PureState, measure: MeasureKind, kets: np.ndarray, co
     first = _schmidt_values(phi, measure, probs)
     if not complement:
         return probs, first
-    if dc == 2:
-        # 1 - |v><v| = |v'><v'| with v' = (-v_1^*, v_0^*), so it is rank one too
-        perp = np.stack([-kets[:, 1].conj(), kets[:, 0].conj()], axis=1)
-        return probs, first, first + _schmidt_outcomes(psi, measure, perp, False)[1]
-    # a qutrit C leaves the rank-two complement rho_AB - |phi_n><phi_n|
     ket = phi.reshape(len(kets), -1, 1)
     rest = amps @ amps.conj().T - ket * ket.conj().transpose(0, 2, 1)
     return probs, first, first + _weighted_values(rest, measure, (da, db))
@@ -420,19 +417,19 @@ def _grid_outcomes(state, measure: MeasureKind, grid, complement=True):
     p_n E[sigma_n (x) |0><0|], then, with ``complement``, the ensemble values,
     which add the complement outcome.  A ``PureState`` (tripartite, as its
     caller checks) takes the Schmidt route, a ``DensityMatrix`` the eigen route.
-    With a qubit C the complement value of a pure state, or of a collapsed one on
-    an even n_x, is the first outcome of v-perp (module docstring): an even n_x
-    reads it from the partner row r +- n_x/2, an odd n_x evaluates it on the
-    Schmidt route.  A qutrit C and the other eigen passes evaluate rho_AB - <v|rho|v>.
+    With a qubit C the complement value of a pure or collapsed state is the first
+    outcome of v-perp (module docstring): one pass without the complement on the grid
+    (n, n_t), n the least even multiple of n_x, keeps the rows r = n k / n_x and adds
+    the partner rows r +- n/2.  A qutrit C and the other eigen passes evaluate
+    rho_AB - <v|rho|v>.
     """
-    nx = grid[0]
-    # deleting the PureState-or-collapsed test gives the generic eigen pass the shift
-    # too (ROADMAP item 2a), once the benchmark pins best by delta's tie rule
-    if complement and state.dims[2] == 2 and nx % 2 == 0 and (
-            isinstance(state, PureState) or _collapses(state)):
-        probs, first = _grid_outcomes(state, measure, grid, complement=False)
-        partner = (np.arange(nx + 1) + nx // 2) % nx
-        return probs, first, first + first.reshape(nx + 1, -1)[partner].ravel()
+    nx, nt = grid
+    if complement and state.dims[2] == 2 and (isinstance(state, PureState) or _collapses(state)):
+        n = nx * (1 + nx % 2)
+        p, first = (a.reshape(n + 1, -1) for a in _grid_outcomes(state, measure, (n, nt), False))
+        rows = np.arange(0, n + 1, n // nx)
+        first, partner = first[rows], first[(rows + n // 2) % n]
+        return p[rows].ravel(), first.ravel(), (first + partner).ravel()
     if isinstance(state, PureState):
         return _grid_pass(state, grid, lambda v: _schmidt_outcomes(state, measure, v, complement))
     rho = as_tripartite(state)

@@ -332,6 +332,20 @@ class TestCertifyState:
         assert rep.condition1 is None
         assert "dimension 2 or 3" in rep.condition1_skipped
 
+    def test_a_failed_eigensolve_is_not_a_skipped_scan(self, monkeypatch):
+        # LinAlgError is a ValueError, but a numerical failure is no usage error;
+        # only the scan's stacked eigensolve fails, the other checks still run
+        eigvalsh = np.linalg.eigvalsh
+
+        def fail(a, *args, **kwargs):
+            if np.ndim(a) == 3:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            certify_state(states.tilde_state(), GRID)
+
     def test_invalid_grid_raises(self):
         with pytest.raises(ValueError, match="grid resolution must be positive"):
             certify_state(states.flower_state(2), (0, 5))

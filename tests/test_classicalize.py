@@ -805,8 +805,8 @@ def _shift_inputs():
 
 
 def _complement_pass(st, measure, grid):
-    """Ensemble values with the complement outcome evaluated: the v-perp kets of
-    the Schmidt route, or rho_AB - K on the eigen route."""
+    """Ensemble values with the complement outcome evaluated, a route that reads no
+    partner row: rho_AB - |phi><phi| on the Schmidt route, rho_AB - K on the eigen route."""
     kets = direction_kets(2, grid)
     if isinstance(st, PureState):
         return ccl._schmidt_outcomes(st, measure, kets, complement=True)[2]
@@ -817,7 +817,8 @@ def _complement_pass(st, measure, grid):
 
 class TestComplementShift:
     # for a qubit C the complement of v(x, t) is v(x + pi/2, t) up to a phase, so a
-    # pure or collapsed pass on an even n_x reads it from the row n_x/2 away
+    # pure or collapsed pass reads it from the row n/2 away on the grid (n, n_t),
+    # n = n_x for an even n_x and 2 n_x for an odd one
     @pytest.mark.parametrize("grid", [GRID, DEFAULT_GRID], ids=["GRID", "DEFAULT_GRID"])
     def test_partner_rows_agree_bit_for_bit(self, grid):
         # row n_x is left out: v(pi, t) and v(0, t) differ in the last bit
@@ -845,13 +846,69 @@ class TestComplementShift:
             assert ensemble_values(st, measure, grid).tobytes() == want.tobytes()
 
     def test_an_odd_n_x_matches_the_oracle(self):
-        # x + pi/2 is off the (25, 8) grid, so both routes evaluate the complement
+        # x + pi/2 is off the (25, 8) grid but on (50, 8); the real pure state takes
+        # the mirror on the doubled grid too
         rng = np.random.default_rng(47)
-        for st in (states.random_pure_state((2, 2, 2), rng), _diagonal_c(rng, (2, 2, 2))):
+        for st in (states.random_pure_state((2, 2, 2), rng), _diagonal_c(rng, (2, 2, 2)),
+                   states.flower_state(3), _real_pure(rng, (2, 3, 2))):
             rho = st.projector() if isinstance(st, PureState) else st
             for measure in MeasureKind:
                 got = ensemble_values(st, measure, (25, 8))
                 assert np.abs(got - _oracle_values(rho, measure, (25, 8))).max() <= 1e-12
+
+    @pytest.mark.parametrize("spec, grid", [(None, (25, 8)), ("bells:3", (301, 50))],
+                             ids=["(25, 8)", "bells:3-(301, 50)"])
+    def test_an_odd_n_x_reads_the_even_rows_of_the_doubled_grid(self, spec, grid):
+        # pi 2k / 2n_x doubles both operands of pi k / n_x, so the rows 2k of
+        # (2 n_x, n_t) hold the (n_x, n_t) kets bit for bit
+        nx, nt = grid
+        sts = [states.parse_state_spec(spec)] if spec else _shift_inputs()
+        for st in sts:
+            for measure in MeasureKind:
+                fine = ensemble_values(st, measure, (2 * nx, nt)).reshape(2 * nx + 1, -1)
+                assert ensemble_values(st, measure, grid).tobytes() == fine[::2].tobytes()
+
+    def test_the_first_outcomes_match_the_pass_without_complement(self, monkeypatch):
+        # delta's lower bound reads these, so it equals lower_bound() on odd grids too;
+        # a budget of 7 blocks splits the doubled and the plain grid into several slices
+        cases = [(st, (25, 8), n) for st in _shift_inputs() for n in (None, 7)]
+        for st, grid, rows in cases + [(states.parse_state_spec("bells:3"), (301, 50), None)]:
+            for measure in MeasureKind:
+                def run():
+                    return [[a.tobytes() for a in _grid_outcomes(st, measure, grid, c)[:2]]
+                            for c in (True, False)]
+                side = st.dims[0] * st.dims[1]
+                got, want = _in_slices(monkeypatch, rows, side, run) if rows else run()
+                assert got == want
+            if rows is None:
+                res = delta(st, MeasureKind.NEGATIVITY, grid)
+                assert res.lower_bound == lower_bound(st, MeasureKind.NEGATIVITY, grid)
+
+
+def _refinement_inputs():
+    """Seeded complex and real 2x2x2 mixed states, a pure 2x2x3, flower:2 and ghz3."""
+    rng = np.random.default_rng(61)
+    return [states.random_density_matrix((2, 2, 2), rng), _real_mixed(rng),
+            states.random_pure_state((2, 2, 3), rng), states.flower_state(2),
+            states.parse_state_spec("ghz3")]
+
+
+class TestGridRefinement:
+    # (2 n_x, n_t) holds every (n_x, n_t) direction with the same kets, so on every
+    # route its even rows repeat the coarse values and its delta is no larger: the
+    # generic eigen pass (squashed, complex), the two-qubit screen (negativity), the
+    # mirror (real), the collapse (flower:2), Schmidt and qutrit C (2x2x3, ghz3)
+    @pytest.mark.parametrize("grid", [(12, 6), (13, 6)])
+    def test_the_refined_grid_keeps_the_coarse_values(self, grid):
+        nx, nt = grid
+        for st in _refinement_inputs():
+            for measure in MeasureKind:
+                fine = ensemble_values(st, measure, (2 * nx, nt)).reshape(2 * nx + 1, -1)[::2]
+                assert np.abs(fine.ravel() - ensemble_values(st, measure, grid)).max() <= 1e-14
+                # squashed delta needs a pure state for its global term
+                if isinstance(st, PureState) or measure is MeasureKind.NEGATIVITY:
+                    coarse = delta(st, measure, grid).delta
+                    assert delta(st, measure, (2 * nx, nt)).delta <= coarse + 1e-12
 
 
 def _haar_unitary(rng, d):
