@@ -22,10 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classicalize import DEFAULT_GRID, ZERO_PROB, MeasurementDirection, _check_grid, _contract
-from .classicalize import _direction_at, _grid_pass, _outcome_blocks, _traces, c_blocks
-from .matcore import PAULIS, _partial_transpose_array
-from .matcore import as_tripartite, is_pure, numeric_rank, partial_trace, tripartite_cuts
+from .classicalize import DEFAULT_GRID, ZERO_PROB, MeasurementDirection, _check_grid
+from .classicalize import _direction_at, _grid_pass, _outcome_blocks, _pt_map, _traces, c_blocks
+from .matcore import PAULIS, as_tripartite, is_pure, numeric_rank, partial_trace, tripartite_cuts
 from .measures import PPT_TOL, SeparabilityVerdict, ppt_verdict
 
 # A dephasing residual (fixed_point_check) of at most this counts as a fixed point.
@@ -76,7 +75,7 @@ def condition1_check(state, grid=DEFAULT_GRID) -> Condition1Report:
 
     def evaluate(kets):
         k = _outcome_blocks(rho, kets)
-        return _traces(k), np.linalg.eigvalsh(_partial_transpose_array(k, (2, 2), (0,)))[:, 0]
+        return _traces(k), np.linalg.eigvalsh(k.reshape(len(k), -1)[:, _pt_map((2, 2))])[:, 0]
 
     probs, min_eigs = _grid_pass(rho, grid, evaluate)
     mask = probs > ZERO_PROB
@@ -162,10 +161,9 @@ def fixed_point_check(state, basis: np.ndarray | None = None) -> float:
     unitary_dev = float(np.max(np.abs(basis.conj().T @ basis - np.eye(dc))))
     if unitary_dev > 1e-10:
         raise ValueError(f"basis must be a {dc}x{dc} unitary; deviation {unitary_dev:.3e}")
-    blocks = c_blocks(rho)
-    diag = _contract(blocks, basis.conj().T, basis.T)
+    diag = _outcome_blocks(rho, basis.T)
     dephased = np.einsum("kab,ck,dk->cdab", diag, basis, basis.conj(), optimize=True)
-    return float(np.max(np.abs(dephased - blocks)))
+    return float(np.max(np.abs(dephased - c_blocks(rho))))
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,11 @@ operations and flag-condition additive.
 
 The grid is evaluated in contiguous slices of the flat direction order,
 each as many directions as STACK_BYTES of dAB x dAB blocks hold, with the
-numbers of one batch: a random 4x4x2 state (dAB = 16) peaks near 16 MiB.  Under
-negativity with qubit A and B, a block whose partial-transpose determinant is
-provably positive is PPT and skips the eigensolve: such a pass builds its blocks as
-contiguous entry rows (16, n) behind an (n, 4, 4) view, reads K^G through the map
-_PT_ROWS and copies only the unscreened blocks.
+numbers of one batch: a random 4x4x2 state (dAB = 16) peaks near 16 MiB.  With
+qubit A and B a pass builds its blocks as contiguous entry rows (16, n) behind an
+(n, 4, 4) view, and under negativity a block whose partial-transpose determinant is
+provably positive is PPT and skips the eigensolve.  Every pass reads K^G through the
+index map _pt_map and copies only the blocks that reach the eigensolve.
 A ``PureState`` keeps its vector: each outcome is rank one, so a slice holds only the
 dA dB amplitudes <v_n|_C psi of its directions and reads both measures from their
 Schmidt coefficients; ``bells:4`` (dAB = 128) runs in about 0.1 s at a 4 MiB peak.
@@ -229,26 +229,22 @@ def classicalize(state, direction: MeasurementDirection) -> list[MeasurementOutc
 # ---------------------------------------------------------------------------
 
 
-def _contract(blocks: np.ndarray, bras: np.ndarray, kets: np.ndarray, out="nab") -> np.ndarray:
-    """Stacked <l_n|_C rho |r_n>_C, (N, dAB, dAB), from rows l_n^* and r_n; ``out="abn"``
-    stores the same products as entry rows (dAB, dAB, N)."""
-    return np.einsum(f"nc,cdab,nd->{out}", bras, blocks, kets, optimize=True, order="C")
-
-
 def _slices(n: int, side: int) -> list[slice]:
     """Contiguous slices of range(n), each holding at most STACK_BYTES of complex
     side x side blocks (one at least).  Lengths differ by one at most: a slice
-    of a few rows would take another BLAS path in ``_contract`` and move low bits."""
+    of a few rows would take another BLAS path in ``_outcome_blocks`` and move low bits."""
     count = -(-n // max(1, STACK_BYTES // (16 * side**2)))
     return [slice(n * i // count, n * (i + 1) // count) for i in range(count)]
 
 
-def _outcome_blocks(rho: DensityMatrix, kets: np.ndarray, as_rows=False) -> np.ndarray:
-    """<v_n|_C rho |v_n>_C = p_n sigma_n for the rows v_n of ``kets``, (n, dAB, dAB);
-    with ``as_rows`` the stack is a view of contiguous entry rows, one per matrix entry."""
-    if as_rows:
-        return np.moveaxis(_contract(c_blocks(rho), kets.conj(), kets, "abn"), -1, 0)
-    return _contract(c_blocks(rho), kets.conj(), kets)
+def _outcome_blocks(rho: DensityMatrix, kets: np.ndarray) -> np.ndarray:
+    """<v_n|_C rho |v_n>_C = p_n sigma_n for the rows v_n of ``kets``, (n, dAB, dAB).
+    For qubit A and B the stack is a view of contiguous entry rows (16, n), row 4a + b
+    the entry (a, b), which the determinant screen reads; otherwise it is C-contiguous."""
+    rows = rho.dims[:2] == (2, 2)
+    k = np.einsum(f"nc,cdab,nd->{'abn' if rows else 'nab'}", kets.conj(), c_blocks(rho), kets,
+                  optimize=True, order="C")
+    return np.moveaxis(k, -1, 0) if rows else k
 
 
 def _collapses(state) -> bool:
@@ -279,8 +275,10 @@ def _grid_pass(state, grid, evaluate) -> tuple:
                  for a in map(np.concatenate, parts))
 
 
-# Row of entry (i, j) of K^G in the entry rows (16, n) of 4x4 blocks K
-_PT_ROWS = _partial_transpose_array(np.arange(16).reshape(4, 4), (2, 2), (0,))
+def _pt_map(dims_ab) -> np.ndarray:
+    """Flat index of entry (i, j) of K^G in a flattened dAB x dAB block K, (dAB, dAB)."""
+    d = dims_ab[0] * dims_ab[1]
+    return _partial_transpose_array(np.arange(d * d).reshape(d, d), dims_ab, (0,))
 
 
 def _traces(k: np.ndarray) -> np.ndarray:
@@ -291,7 +289,7 @@ def _traces(k: np.ndarray) -> np.ndarray:
 def _ppt_by_det(rows: np.ndarray) -> np.ndarray:
     """Mask of the 4x4 blocks K, as entry rows (16, n), that det K^G > 0 proves PPT.
 
-    Row 4a + b holds entry (a, b); K^G is read through ``_PT_ROWS``, never copied.
+    Row 4a + b holds entry (a, b); K^G is read through ``_pt_map``, never copied.
     A two-qubit partial transpose has at most one negative eigenvalue
     (Sanpera, Tarrach & Vidal, PRA 58, 826, 1998), so a positive
     determinant proves PPT (Augusiak, Demianowicz & Horodecki, PRA 77,
@@ -313,7 +311,7 @@ def _ppt_by_det(rows: np.ndarray) -> np.ndarray:
     eigvalsh finds no eigenvalue below -NEG_EIG_THRESHOLD, and the block
     is worth -0.0 on either route.  A zero block is never screened.
     """
-    pt = [[rows[i] for i in line] for line in _PT_ROWS]  # views: K^G entry (r, j) is pt[r][j]
+    pt = [[rows[i] for i in line] for line in _pt_map((2, 2))]  # views: K^G (r, j) is pt[r][j]
 
     def minor(r, j, k):
         return pt[r][j] * pt[r + 1][k] - pt[r][k] * pt[r + 1][j]
@@ -330,21 +328,16 @@ def _weighted_values(k: np.ndarray, measure: MeasureKind, dims_ab) -> np.ndarray
     """p * post_value(sigma) of each stacked block k = p sigma.
 
     Under negativity with a two-qubit AB, blocks that ``_ppt_by_det``
-    proves PPT are worth -0.0 without an eigensolve.
+    proves PPT are worth -0.0 without an eigensolve.  The eigensolve
+    reads K^G gathered through ``_pt_map`` from the flattened blocks.
     """
     if measure is MeasureKind.NEGATIVITY:
         # Negativity scales linearly, so the weight p never needs to be
         # divided out: p * 2 N(sigma) = 2 N(<v|rho|v>).
-        if dims_ab == (2, 2):
-            # entry rows, a view, contiguous for _outcome_blocks(..., as_rows=True);
-            # only the unscreened blocks are copied
-            flat = k.reshape(len(k), 16)
-            todo = ~_ppt_by_det(flat.T)
-            pt = flat[todo][:, _PT_ROWS]
-        else:
-            todo, pt = slice(None), _partial_transpose_array(k, dims_ab, (0,))
+        flat = k.reshape(len(k), -1)
+        todo = ~_ppt_by_det(flat.T) if dims_ab == (2, 2) else slice(None)
         out = np.full(len(k), -0.0)
-        w = np.linalg.eigvalsh(pt)
+        w = np.linalg.eigvalsh(flat[todo][:, _pt_map(dims_ab)])
         out[todo] = 2.0 * -np.where(w < -NEG_EIG_THRESHOLD, w, 0.0).sum(axis=1)
         return out
     # p (S(A) + S(B)) / 2 of the normalized marginals; zero where negligible
@@ -434,11 +427,9 @@ def _grid_outcomes(state, measure: MeasureKind, grid, complement=True):
         return _grid_pass(state, grid, lambda v: _schmidt_outcomes(state, measure, v, complement))
     rho = as_tripartite(state)
     dims_ab, rho_ab = rho.dims[:2], _partial_trace_array(rho.data, rho.dims, (0, 1))
-    # the determinant screen reads each entry of a two-qubit block as a contiguous row
-    as_rows = measure is MeasureKind.NEGATIVITY and dims_ab == (2, 2)
 
     def evaluate(kets):
-        k = _outcome_blocks(rho, kets, as_rows)
+        k = _outcome_blocks(rho, kets)
         p, first = _traces(k), _weighted_values(k, measure, dims_ab)
         if not complement:
             return p, first

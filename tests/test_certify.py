@@ -255,7 +255,24 @@ class TestFixedPoint:
         assert fixed_point_check(states.ghz_state()) == pytest.approx(0.5, abs=1e-9)
 
     def test_flower_exactly_fixed(self):
-        assert fixed_point_check(states.flower_state(2)) <= 1e-12
+        # flower:2 takes the entry-row layout, flower:3 (3x3x2) the C-contiguous one
+        for d in (2, 3):
+            assert fixed_point_check(states.flower_state(d)) == 0.0
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (2, 2, 3)])
+    def test_matches_the_kron_dephasing(self, dims):
+        # the residual against sum_k (1 (x) P_k) rho (1 (x) P_k) built with kron, in the
+        # computational basis and in Haar bases, on either layout of _outcome_blocks
+        rng = np.random.default_rng(sum(dims))
+        dab, dc = dims[0] * dims[1], dims[2]
+        for _ in range(4):
+            rho = states.random_density_matrix(dims, rng)
+            haar = np.linalg.qr(rng.standard_normal((dc, dc)) + 1j * rng.standard_normal((dc, dc)))[0]
+            for basis in (np.eye(dc), haar):
+                projs = [kron(np.eye(dab), np.outer(b, b.conj())) for b in basis.T]
+                dephased = sum(p @ rho.data @ p for p in projs)
+                want = np.abs(dephased - rho.data).max()
+                assert abs(fixed_point_check(rho, basis) - want) <= 1e-15
 
     def test_rotated_basis_changes_residual(self):
         rho = states.flower_state(2)

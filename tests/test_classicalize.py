@@ -12,12 +12,14 @@ from classent import states
 from classent.certify import condition1_check, fixed_point_check
 from classent.classicalize import (
     DEFAULT_GRID,
+    ZERO_PROB,
     MeasurementDirection,
     _direction_at,
     _grid_outcomes,
     _grid_pass,
     _outcome_blocks,
     _ppt_by_det,
+    _pt_map,
     _slices,
     _weighted_values,
     c_blocks,
@@ -36,7 +38,7 @@ from classent.matcore import (
     _partial_transpose_array,
     kron,
 )
-from classent.measures import NEG_EIG_THRESHOLD, MeasureKind, post_value
+from classent.measures import NEG_EIG_THRESHOLD, PPT_TOL, MeasureKind, post_value
 
 # the module itself: the package's classicalize() function shadows its name
 ccl = import_module("classent.classicalize")
@@ -331,20 +333,46 @@ def _screened_eigenvalues(k):
     return np.linalg.eigvalsh(pt[_ppt_by_det(_entry_rows(k))])
 
 
+def _whole_blocks(st, kets):
+    """<v_n|rho|v_n> as a C-contiguous (n, dAB, dAB) stack, built apart from
+    ``_outcome_blocks`` so that it does not share the layout it checks."""
+    return np.einsum("nc,cdab,nd->nab", kets.conj(), c_blocks(st), kets, optimize=True, order="C")
+
+
 def _whole_block_outcomes(st, grid, complement):
     """``_grid_outcomes`` of a mixed two-qubit-AB state under negativity, rebuilt on
-    the same walker from whole (n, 4, 4) blocks: ``_outcome_blocks``, then
+    the same walker from whole (n, 4, 4) blocks: ``_whole_blocks``, then
     ``_partial_transpose_array`` and eigvalsh on every block."""
     rho_ab = _partial_trace_array(st.data, st.dims, (0, 1))
 
     def evaluate(kets):
-        k = _outcome_blocks(st, kets)
+        k = _whole_blocks(st, kets)
         first = _eigen_route(k)
         if not complement:
             return ccl._traces(k), first
         return ccl._traces(k), first, first + _eigen_route(rho_ab - k)
 
     return _grid_pass(st, grid, evaluate)
+
+
+def _whole_block_scan(st, grid):
+    """``condition1_check`` of ``st`` rebuilt on the same walker from ``_whole_blocks``,
+    ``_partial_transpose_array`` and eigvalsh: status, the two counts, the witness as
+    float hex and the failing direction's index."""
+    def evaluate(kets):
+        k = _whole_blocks(st, kets)
+        return ccl._traces(k), np.linalg.eigvalsh(_partial_transpose_array(k, (2, 2), (0,)))[:, 0]
+
+    probs, min_eigs = _grid_pass(st, grid, evaluate)
+    mask = probs > ZERO_PROB
+    witnesses = np.where(mask, min_eigs / np.where(mask, probs, 1.0), np.inf)
+    counts = int(mask.sum()), int((~mask).sum())
+    failing = np.nonzero(witnesses < -PPT_TOL)[0]
+    if failing.size:
+        first = int(failing[0])
+        index = _direction_at(st.dims[2], grid, first).index
+        return ("fail", *counts, float(witnesses[first]).hex(), index)
+    return ("pass", *counts, float(witnesses[mask].min()).hex(), None)
 
 
 # the benchmark's catalog specs: all but ghz3, sym3 (3x3x3), flower:3
@@ -447,9 +475,10 @@ class TestDeterminantScreen:
     @pytest.mark.parametrize("grid", [GRID, DEFAULT_GRID], ids=["GRID", "DEFAULT_GRID"])
     def test_the_rows_pass_matches_whole_blocks(self, grid):
         # the pass builds its blocks as entry rows behind a stack view, subtracts them
-        # from rho_AB in place and reads K^G through _PT_ROWS; probabilities, first
-        # outcomes and ensemble values must be the bytes of whole blocks.  tilde is real, so mirrored; flower:2 collapses,
-        # and its complement comes from the partner rows n_x/2 away
+        # from rho_AB in place and reads K^G through _pt_map; probabilities, first
+        # outcomes, ensemble values and the scan's report must be the bytes of whole
+        # blocks.  tilde is real, so mirrored; flower:2 collapses, and its complement
+        # comes from the partner rows n_x/2 away
         rng = np.random.default_rng(53)
         dims = [(2, 2, 2)] * 3 + [(2, 2, 3)] * 2
         sts = [states.random_density_matrix(d, rng) for d in dims]
@@ -469,6 +498,23 @@ class TestDeterminantScreen:
             assert [a.tobytes() for a in got] == want[:2]
             got = _grid_outcomes(st, MeasureKind.NEGATIVITY, grid)
             assert [a.tobytes() for a in got] == want
+            rep = condition1_check(st, grid)
+            direction = None if rep.direction is None else rep.direction.index
+            got = (rep.status, rep.directions_checked, rep.skipped, float(rep.witness).hex(), direction)
+            assert got == _whole_block_scan(st, grid)
+
+    @pytest.mark.parametrize("dims_ab", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 4), (8, 4)])
+    def test_pt_map_gathers_the_partial_transpose(self, dims_ab):
+        # every AB shape the kernel meets: the gather through _pt_map is the bytes of
+        # the transposed copy, and the negativity values those of the full eigen route
+        rng = np.random.default_rng(sum(dims_ab))
+        d = dims_ab[0] * dims_ab[1]
+        g = rng.standard_normal((8, d, d)) + 1j * rng.standard_normal((8, d, d))
+        k = g @ g.conj().transpose(0, 2, 1) / d
+        want = _partial_transpose_array(k, dims_ab, (0,))
+        assert k.reshape(len(k), -1)[:, _pt_map(dims_ab)].tobytes() == want.tobytes()
+        got = _weighted_values(k, MeasureKind.NEGATIVITY, dims_ab)
+        assert got.tobytes() == _eigen_route(k, dims_ab).tobytes()
 
 
 # the random pure inputs of TestSchmidtKernel: the determinant (2x2), the
