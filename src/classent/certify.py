@@ -4,7 +4,8 @@ Three independent certificates are implemented:
 
 * a grid scan certifying that every measurement direction on C leaves a
   separable two-qubit state behind, which forces the entanglement
-  change to be complete;
+  change to be complete; it eigensolves only the blocks that can decide
+  its report, whose bits are those of solving every block;
 * a zero-discord test deciding whether the state is already classical on C,
   a fixed point of the classicalization channel to BLOCK_TOL in ``fixed_point_check``;
 * a rank and PPT report that cross-checks the structural consequences
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classicalize import DEFAULT_GRID, ZERO_PROB, MeasurementDirection, _check_grid
-from .classicalize import _direction_at, _grid_pass, _outcome_blocks, _pt_map, _traces, c_blocks
+from .classicalize import DEFAULT_GRID, ZERO_PROB, MeasurementDirection, _check_grid, c_blocks
+from .classicalize import _direction_at, _grid_pass, _outcome_blocks, _ppt_by_det, _pt_map, _traces
 from .matcore import PAULIS, as_tripartite, is_pure, numeric_rank, partial_trace, tripartite_cuts
 from .measures import PPT_TOL, SeparabilityVerdict, ppt_verdict
 
@@ -68,6 +69,22 @@ def condition1_check(state, grid=DEFAULT_GRID) -> Condition1Report:
     skipped, and a normalized partial-transpose eigenvalue below
     ``-PPT_TOL`` fails the scan.  For a qutrit C the grid holds real
     directions only (``Condition1Report``).
+
+    The report is the bits of eigensolving every live block (p > ZERO_PROB), but only
+    the blocks that can decide it are solved.  A block whose determinant slack
+    s = det K^G - E (``_ppt_by_det``) is positive is screened: the H that eigvalsh reads
+    is positive definite with det H > s + 256 G M^3.  As lambda_min = det H / (l2 l3 l4)
+    and l2 l3 l4 <= (tr H / 3)^3 by AM-GM, lambda_min >= 27 det H / (tr H)^3.  The trace
+    p rounds tr H by under 4u relative, M >= p/4 and p < 1.001, so 27 * 256 G M^3 / p^4 >=
+    108 G / p > 6e-7 covers the trace's rounding, eigvalsh's backward error c u ||H|| (c
+    small) and the roundings of w and f.  So the computed witness w exceeds the floor
+    f = 27 s / p^4 >= 0: (a) a screened block never fails, and (b) it cannot hold the
+    smallest witness once a solved block's witness is below f.  Each slice therefore solves
+    its unscreened live blocks in flat order, in chunks of 256, 1024, ...; at the first
+    chunk holding a failure every earlier block is screened or solved, so the first failure
+    and its witness are exact.  Otherwise m, their least witness (with none, the witness
+    of the screened block of least floor), bounds the minimum, and only screened blocks
+    with f <= m are solved.  Unsolved blocks carry +inf through the mirror and collapse.
     """
     rho = as_tripartite(state)
     if rho.dims[:2] != (2, 2):
@@ -75,7 +92,34 @@ def condition1_check(state, grid=DEFAULT_GRID) -> Condition1Report:
 
     def evaluate(kets):
         k = _outcome_blocks(rho, kets)
-        return _traces(k), np.linalg.eigvalsh(k.reshape(len(k), -1)[:, _pt_map((2, 2))])[:, 0]
+        flat, probs = k.reshape(len(k), -1), _traces(k)
+        slack, pt = _ppt_by_det(flat.T), flat[:, _pt_map((2, 2))]
+        min_eigs = np.full(len(k), np.inf)
+
+        def solve(todo):
+            min_eigs[todo] = np.linalg.eigvalsh(pt[todo])[:, 0]
+
+        live = probs > ZERO_PROB
+        screened = live & (slack > 0)
+        todo, start, size, worst = np.flatnonzero(live & ~screened), 0, 256, np.inf
+        while start < len(todo):
+            chunk = todo[start:start + size]
+            solve(chunk)
+            w = min_eigs[chunk] / probs[chunk]
+            if (w < -PPT_TOL).any():
+                return probs, min_eigs
+            worst, start, size = min(worst, w.min()), start + size, 4 * size
+        floors = np.divide(27 * slack, probs**4, out=np.full(len(k), np.inf), where=screened)
+        if worst == np.inf and screened.any():
+            i = np.argmin(floors)
+            solve(slice(i, i + 1))
+            worst, floors[i] = min_eigs[i] / probs[i], np.inf
+        todo = floors <= worst
+        gaps = np.flatnonzero(~todo)
+        # a plateau solves every block but its seed: two views of pt, no gather
+        for part in [slice(0, gaps[0]), slice(gaps[0] + 1, None)] if len(gaps) == 1 else [todo]:
+            solve(part)
+        return probs, min_eigs
 
     probs, min_eigs = _grid_pass(rho, grid, evaluate)
     mask = probs > ZERO_PROB

@@ -287,9 +287,10 @@ def _traces(k: np.ndarray) -> np.ndarray:
 
 
 def _ppt_by_det(rows: np.ndarray) -> np.ndarray:
-    """Mask of the 4x4 blocks K, as entry rows (16, n), that det K^G > 0 proves PPT.
+    """Determinant slack s = det K^G - E of the 4x4 blocks K, as entry rows (16, n).
 
-    Row 4a + b holds entry (a, b); K^G is read through ``_pt_map``, never copied.
+    A positive slack proves K PPT.  Row 4a + b holds entry (a, b); K^G is read
+    through ``_pt_map``, never copied.
     A two-qubit partial transpose has at most one negative eigenvalue
     (Sanpera, Tarrach & Vidal, PRA 58, 826, 1998), so a positive
     determinant proves PPT (Augusiak, Demianowicz & Horodecki, PRA 77,
@@ -301,7 +302,7 @@ def _ppt_by_det(rows: np.ndarray) -> np.ndarray:
     complement) and Hermiticity errors of HERM_TOL; rounding adds far
     less.  As |P_ij| <= max P_ii and the transpose keeps the diagonal,
     with m the largest diagonal entry and M = m + 3G >= 2G no entry
-    exceeds M and ||K^G|| <= 4M.  The screen det > 32 u 24 M^4 +
+    exceeds M and ||K^G|| <= 4M.  The screen det > E = 32 u 24 M^4 +
     1024 G M^3 then holds up: the first term, twice the forward error,
     makes the exact det K^G positive; the Hermitian H that eigvalsh
     reads lies within 2G of K^G, which moves the determinant by less
@@ -309,19 +310,27 @@ def _ppt_by_det(rows: np.ndarray) -> np.ndarray:
     negative eigenvalue, by Weyl a second one of H lies in [-3G, 0) and
     caps det H at 3G (4M)^3 = 192 G M^3.  So a screened H is PSD,
     eigvalsh finds no eigenvalue below -NEG_EIG_THRESHOLD, and the block
-    is worth -0.0 on either route.  A zero block is never screened.
+    is worth -0.0 on either route.  A zero block is never screened.  E exceeds
+    the two errors, 384 u M^4 + 768 G M^3, by 384 u M^4 + 256 G M^3, so
+    det H > s + 256 G M^3: ``condition1_check`` bounds lambda_min(H) from below by it.
     """
     pt = [[rows[i] for i in line] for line in _pt_map((2, 2))]  # views: K^G (r, j) is pt[r][j]
 
     def minor(r, j, k):
-        return pt[r][j] * pt[r + 1][k] - pt[r][k] * pt[r + 1][j]
+        m = pt[r][j] * pt[r + 1][k]
+        m -= pt[r][k] * pt[r + 1][j]
+        return m
 
-    det = (minor(0, 0, 1) * minor(2, 2, 3) - minor(0, 0, 2) * minor(2, 1, 3)
-           + minor(0, 0, 3) * minor(2, 1, 2) + minor(0, 1, 2) * minor(2, 0, 3)
-           - minor(0, 1, 3) * minor(2, 0, 2) + minor(0, 2, 3) * minor(2, 0, 1)).real
+    # summed left to right in place, the roundings of one expression with fewer temporaries
+    det = minor(0, 0, 1) * minor(2, 2, 3)
+    det -= minor(0, 0, 2) * minor(2, 1, 3)
+    det += minor(0, 0, 3) * minor(2, 1, 2)
+    det += minor(0, 1, 2) * minor(2, 0, 3)
+    det -= minor(0, 1, 3) * minor(2, 0, 2)
+    det += minor(0, 2, 3) * minor(2, 0, 1)
     gap = 4 * PSD_TOL + 16 * HERM_TOL
     big_m = rows[::5].real.max(axis=0) + 3 * gap
-    return det > big_m**3 * (32 * 24 * np.finfo(float).eps / 2 * big_m + 1024 * gap)
+    return det.real - big_m**3 * (32 * 24 * np.finfo(float).eps / 2 * big_m + 1024 * gap)
 
 
 def _weighted_values(k: np.ndarray, measure: MeasureKind, dims_ab) -> np.ndarray:
@@ -335,7 +344,7 @@ def _weighted_values(k: np.ndarray, measure: MeasureKind, dims_ab) -> np.ndarray
         # Negativity scales linearly, so the weight p never needs to be
         # divided out: p * 2 N(sigma) = 2 N(<v|rho|v>).
         flat = k.reshape(len(k), -1)
-        todo = ~_ppt_by_det(flat.T) if dims_ab == (2, 2) else slice(None)
+        todo = _ppt_by_det(flat.T) <= 0 if dims_ab == (2, 2) else slice(None)
         out = np.full(len(k), -0.0)
         w = np.linalg.eigvalsh(flat[todo][:, _pt_map(dims_ab)])
         out[todo] = 2.0 * -np.where(w < -NEG_EIG_THRESHOLD, w, 0.0).sum(axis=1)
@@ -399,7 +408,8 @@ def _schmidt_outcomes(psi: PureState, measure: MeasureKind, kets: np.ndarray, co
     if not complement:
         return probs, first
     ket = phi.reshape(len(kets), -1, 1)
-    rest = amps @ amps.conj().T - ket * ket.conj().transpose(0, 2, 1)
+    rest = np.multiply(ket, ket.conj().transpose(0, 2, 1))  # |phi_n><phi_n|, then rho_AB minus it
+    np.subtract(amps @ amps.conj().T, rest, out=rest)
     return probs, first, first + _weighted_values(rest, measure, (da, db))
 
 

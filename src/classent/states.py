@@ -204,8 +204,8 @@ def adma_state(a: float = 2.0, b: float = 3.0, c: float = 5.0) -> DensityMatrix:
     a, b, c > 0 and abc != 1.
     """
     a, b, c = float(a), float(b), float(c)
-    if min(a, b, c) <= 0.0:
-        raise ValueError(f"parameters must be positive, got ({a}, {b}, {c})")
+    if not (0.0 < a and 0.0 < b and 0.0 < c):
+        raise ValueError(f"parameters a, b, c must be positive, got ({a}, {b}, {c})")
     if abs(a * b * c - 1.0) < 1e-12:
         raise ValueError("parameters with abc = 1 give a rank-deficient special case")
     norm = 2.0 + a + 1.0 / a + b + 1.0 / b + c + 1.0 / c
@@ -223,7 +223,7 @@ def ak_state(y: float) -> DensityMatrix:
     entangled in between.
     """
     y = float(y)
-    if y <= 0.0:
+    if not 0.0 < y:
         raise ValueError(f"parameter y must be positive, got {y}")
     x = y + 4.0
     mat = np.diag([x, y, y, y, y, y, y, x])
@@ -239,7 +239,7 @@ def ph_state(z: float) -> DensityMatrix:
     (2z, 1/z, 1/z, 1/z), normalized by m = 3 + 3/z + 2z.  Requires z > 0.
     """
     z = float(z)
-    if z <= 0.0:
+    if not 0.0 < z:
         raise ValueError(f"parameter z must be positive, got {z}")
     m = 3.0 + 3.0 / z + 2.0 * z
     mat = np.diag([2.0 * z, 1.0, 1.0, 1.0 / z, 1.0, 1.0 / z, 1.0 / z, 0.0])
@@ -257,8 +257,8 @@ def heisenberg_thermal(temperature: float) -> DensityMatrix:
     the state is PPT for every bipartition yet not fully separable.
     """
     temperature = float(temperature)
-    if temperature <= 0.0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    if not 0.0 < temperature:
+        raise ValueError(f"temperature T must be positive, got {temperature}")
     eye = np.eye(2, dtype=complex)
     ham = np.zeros((8, 8), dtype=complex)
     for i, j in ((0, 1), (1, 2), (2, 0)):

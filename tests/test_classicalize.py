@@ -1,5 +1,6 @@
 """The classicalization channel and the grid optimization of delta."""
 
+import functools
 import tracemalloc
 from importlib import import_module
 
@@ -42,6 +43,7 @@ from classent.measures import NEG_EIG_THRESHOLD, PPT_TOL, MeasureKind, post_valu
 
 # the module itself: the package's classicalize() function shadows its name
 ccl = import_module("classent.classicalize")
+cert = import_module("classent.certify")
 
 # small even grid: closed under qubit complements, fast enough for loops
 GRID = (24, 8)
@@ -330,7 +332,7 @@ def _entry_rows(k):
 def _screened_eigenvalues(k):
     """PT eigenvalues of the stacked 4x4 blocks the determinant screens out."""
     pt = _partial_transpose_array(k, (2, 2), (0,))
-    return np.linalg.eigvalsh(pt[_ppt_by_det(_entry_rows(k))])
+    return np.linalg.eigvalsh(pt[_ppt_by_det(_entry_rows(k)) > 0])
 
 
 def _whole_blocks(st, kets):
@@ -434,10 +436,10 @@ class TestDeterminantScreen:
         assert w.size == 0 or w.min() >= -NEG_EIG_THRESHOLD
         # far from the boundary the screen does fire
         far = (0.2 * np.outer(singlet, singlet) + 0.8 * np.eye(4) / 4).astype(complex)
-        assert _ppt_by_det(_entry_rows(far[None])).all()
+        assert (_ppt_by_det(_entry_rows(far[None])) > 0).all()
 
     def test_zero_block_is_not_screened(self):
-        assert not _ppt_by_det(np.zeros((16, 1), complex)).any()
+        assert not (_ppt_by_det(np.zeros((16, 1), complex)) > 0).any()
 
     def test_validator_slack_is_not_screened_away(self):
         # rho may carry eigenvalues down to -PSD_TOL; two of them in one
@@ -469,7 +471,7 @@ class TestDeterminantScreen:
                 got = _weighted_values(k, MeasureKind.NEGATIVITY, dims_ab)
                 assert got.tobytes() == _eigen_route(k, dims_ab).tobytes()
                 if dims_ab == (2, 2):
-                    screened += int(_ppt_by_det(_entry_rows(k)).sum())
+                    screened += int((_ppt_by_det(_entry_rows(k)) > 0).sum())
         assert screened > 0
 
     @pytest.mark.parametrize("grid", [GRID, DEFAULT_GRID], ids=["GRID", "DEFAULT_GRID"])
@@ -515,6 +517,150 @@ class TestDeterminantScreen:
         assert k.reshape(len(k), -1)[:, _pt_map(dims_ab)].tobytes() == want.tobytes()
         got = _weighted_values(k, MeasureKind.NEGATIVITY, dims_ab)
         assert got.tobytes() == _eigen_route(k, dims_ab).tobytes()
+
+
+def _scan_bits(rep):
+    """A ``Condition1Report`` in the form of ``_whole_block_scan``."""
+    direction = None if rep.direction is None else rep.direction.index
+    return rep.status, rep.directions_checked, rep.skipped, float(rep.witness).hex(), direction
+
+
+def _late_failure():
+    """A complex 2x2x2 state whose first NPT direction, (115, 46) on the default grid,
+    lies behind a thousand unscreened blocks: C = |0> sees mostly 1/4, C = |1> a Bell pair."""
+    bell = np.zeros(4)
+    bell[[0, 3]] = 1 / np.sqrt(2)
+    mix = kron(np.eye(4) / 4, np.diag([0.9, 0.0])) + kron(np.outer(bell, bell), np.diag([0.0, 0.1]))
+    noise = states.random_density_matrix((2, 2, 2), np.random.default_rng(19)).data
+    return DensityMatrix(0.9 * mix + 0.1 * noise, (2, 2, 2))
+
+
+def _negligible_npt():
+    """1/4 on C = |0>, and on C = |1> a block of trace 5e-13 with an eigenvalue -4e-13,
+    inside the validator's slack: the blocks at x = pi/2 are negligible and read -0.8."""
+    slack = np.diag([-4e-13, 3e-13, 3e-13, 3e-13])
+    rho = kron((1 - 5e-13) * np.eye(4) / 4, np.diag([1.0, 0.0])) + kron(slack, np.diag([0.0, 1.0]))
+    return DensityMatrix(rho, (2, 2, 2))
+
+
+def _random_scan_states():
+    """Seeded (2, 2, 2) and (2, 2, 3) states: pure, full-rank, rank two (which fail) and
+    mixed halfway to 1/d (which pass)."""
+    rng = np.random.default_rng(61)
+    sts = []
+    for dims in ((2, 2, 2), (2, 2, 3)):
+        d = int(np.prod(dims))
+        g = rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2))
+        low = g @ g.conj().T / np.trace(g @ g.conj().T).real
+        full = states.random_density_matrix(dims, rng)
+        sts += [states.random_pure_state(dims, rng).projector(), full, DensityMatrix(low, dims),
+                DensityMatrix((full.data + np.eye(d) / d) / 2, dims)]
+    return sts
+
+
+# the scan's cases: all blocks screened with one minimum (hdk, ak:2.5) or on a
+# plateau (adma, heis:5), witnesses on the PPT boundary (tilde, upb, ph:1), a
+# failure deep in the flat order and negligible blocks that read NPT
+_SCAN_CASES = {spec: functools.partial(states.parse_state_spec, spec)
+               for spec in ("hdk", "ak:2.5", "adma", "heis:5", "tilde", "upb", "ph:1")}
+_SCAN_CASES.update({"late-failure": _late_failure, "negligible": _negligible_npt})
+
+
+class TestConditionalScan:
+    # condition1_check eigensolves only the blocks that can decide its report; every
+    # field must be the bits of solving all of them, _whole_block_scan
+
+    @pytest.mark.parametrize("grid", [GRID, (25, 8), DEFAULT_GRID],
+                             ids=["GRID", "odd-grid", "DEFAULT_GRID"])
+    @pytest.mark.parametrize("case", list(_SCAN_CASES))
+    def test_the_report_matches_whole_blocks(self, case, grid):
+        st = _SCAN_CASES[case]()
+        assert _scan_bits(condition1_check(st, grid)) == _whole_block_scan(st, grid)
+
+    def test_random_states_match_whole_blocks(self):
+        for st in _random_scan_states():
+            for grid in (GRID, (25, 8), DEFAULT_GRID):
+                assert _scan_bits(condition1_check(st, grid)) == _whole_block_scan(st, grid)
+
+    @pytest.mark.parametrize("case", ["hdk", "adma", "tilde", "late-failure", "negligible"])
+    def test_slices_keep_the_report(self, monkeypatch, case):
+        # every rule is local to one slice, so 97-block slices keep the report
+        st = _SCAN_CASES[case]()
+
+        def run():
+            return _scan_bits(condition1_check(st, DEFAULT_GRID))
+
+        assert _in_slices(monkeypatch, 97, 4, run) == _whole_block_scan(st, DEFAULT_GRID)
+
+    @staticmethod
+    def _scan_built_blocks(monkeypatch, kg, rng):
+        """The scan's report, on a complex state (no mirror, no collapse) and an
+        (n_x, 1) grid of len(kg) directions, with its outcome blocks replaced by the
+        built K^G stack kg, and the least witness of solving every block."""
+        n = len(kg)
+        rows = kg.reshape(n, 16)[:, _pt_map((2, 2)).ravel()].T  # K from K^G: an involution
+        monkeypatch.setattr(cert, "_outcome_blocks",
+                            lambda rho, kets: np.moveaxis(rows.reshape(4, 4, n).copy(), -1, 0))
+        rep = condition1_check(states.random_density_matrix((2, 2, 2), rng), (n // 2 - 1, 1))
+        return rep, np.linalg.eigvalsh(kg)[:, 0] / ccl._traces(kg)
+
+    def test_the_floor_keeps_its_margin(self, monkeypatch):
+        # T has the PT spectrum (1e-5, 1/4, 1/4, 1/4), where AM-GM is nearly tight,
+        # and a Hermiticity defect of 5e-9 in the upper triangle, which eigvalsh never
+        # reads: its bare floor 27 det / p^4 exceeds its witness, and only the slack's
+        # margin keeps it solved.  S, unscreened, with a witness 1e-6 above T's sets m;
+        # 1/4 fills the rest
+        rng = np.random.default_rng(29)
+        u, v = _haar_unitary(rng, 4), _haar_unitary(rng, 4)
+        tight = u @ np.diag([1e-5, 0.25, 0.25, 0.25]) @ u.conj().T
+        defects = [tight + np.triu(np.full((4, 4), 5e-9 * phase), 1)
+                   for phase in np.exp(2j * np.pi * np.arange(8) / 8)]
+        tight = max(defects, key=lambda m: np.linalg.det(m).real)
+        p = np.trace(tight).real
+        w_tight = np.linalg.eigvalsh(tight)[0] / p
+        eps = 0.75 * w_tight * (1 + 1e-6) / (1 - w_tight * (1 + 1e-6))
+        seed = v @ np.diag([eps, 0.05, 0.3, 0.4]) @ v.conj().T
+        kg = np.array([seed, tight, np.eye(4) / 4, np.eye(4) / 4], complex)
+        assert 27 * np.linalg.det(tight).real / p**4 > w_tight
+        assert _ppt_by_det(tight.ravel()[_pt_map((2, 2)).ravel(), None]) > 0
+        rep, want = self._scan_built_blocks(monkeypatch, kg, rng)
+        assert (rep.status, float(rep.witness).hex()) == ("pass", float(want.min()).hex())
+        assert want.argmin() == 1
+
+    @pytest.mark.parametrize("least", [2, 4])
+    def test_a_plateau_solves_every_block_but_its_seed(self, monkeypatch, least):
+        # eight screened blocks whose floors all lie below the least witness: the
+        # seed, of least floor (spread PT spectrum), sits at 3, and the least witness
+        # next to it, so the two views around the seed must cover every other block
+        rng = np.random.default_rng(31)
+        spectra = [(0.051 + 0.001 * i, 0.3, 0.3, 0.3) for i in range(8)]
+        spectra[3], spectra[least] = (0.06, 0.1, 0.3, 0.5), (0.05, 0.3, 0.3, 0.3)
+        kg = np.array([(u := _haar_unitary(rng, 4)) @ np.diag(e) @ u.conj().T for e in spectra])
+        rep, want = self._scan_built_blocks(monkeypatch, kg, rng)
+        assert (rep.status, float(rep.witness).hex()) == ("pass", float(want.min()).hex())
+        assert want.argmin() == least
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=hst.integers(0, 2**32 - 1), log_eps=hst.floats(-5.5, -0.7),
+           spread=hst.floats(0.0, 1.0), defect=hst.floats(0.0, 5e-9))
+    def test_a_screened_witness_exceeds_its_floor(self, seed, log_eps, spread, defect):
+        # proof (b) of condition1_check: w > 27 s / p^4 >= 0 on every screened block,
+        # here PT spectra (eps, a, a, a) spread towards random ones, with an upper
+        # Hermiticity defect that the determinant reads and eigvalsh does not
+        rng = np.random.default_rng(seed)
+        kg = np.empty((64, 4, 4), complex)
+        for i in range(64):
+            top = 0.25 + spread * rng.uniform(-0.2, 0.2, size=3)
+            u = _haar_unitary(rng, 4)
+            kg[i] = u @ np.diag([10.0**log_eps, *top]) @ u.conj().T
+            kg[i] += np.triu(np.full((4, 4), defect * np.exp(2j * np.pi * rng.uniform())), 1)
+        kg *= rng.uniform(1e-3, 1.0, size=(64, 1, 1))
+        rows = np.ascontiguousarray(kg.reshape(64, 16)[:, _pt_map((2, 2)).ravel()].T)
+        slack = _ppt_by_det(rows)
+        p = ccl._traces(kg)
+        w = np.linalg.eigvalsh(kg)[:, 0] / p
+        screened = slack > 0
+        assert (w[screened] > 27 * slack[screened] / p[screened] ** 4).all()
 
 
 # the random pure inputs of TestSchmidtKernel: the determinant (2x2), the

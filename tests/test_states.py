@@ -208,3 +208,15 @@ class TestParseStateSpec:
     def test_malformed_number(self):
         with pytest.raises(ValueError, match="malformed"):
             states.parse_state_spec("psi:abc")
+
+    @pytest.mark.parametrize("spec, name", [
+        ("adma:nan,3,5", "a, b, c"), ("adma:2,nan,5", "a, b, c"), ("adma:2,3,nan", "a, b, c"),
+        ("ak:nan", "y"), ("ph:nan", "z"), ("heis:nan", "T"), ("hdk:nan", "t"),
+        ("psi:nan", "p"), ("rho:nan", "q"),
+    ])
+    def test_nan_parameter_is_named(self, spec, name):
+        # NaN fails every comparison, so a check written "x <= 0" let it through to
+        # the matrix's generic NaN message or, for heis, a divide warning, which the
+        # suite's filterwarnings setting raises in place of the ValueError
+        with pytest.raises(ValueError, match=rf"^(parameters?|weight|temperature) {name} "):
+            states.parse_state_spec(spec)
