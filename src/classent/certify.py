@@ -206,7 +206,7 @@ def fixed_point_check(state, basis: np.ndarray | None = None) -> float:
     if unitary_dev > 1e-10:
         raise ValueError(f"basis must be a {dc}x{dc} unitary; deviation {unitary_dev:.3e}")
     diag = _outcome_blocks(rho, basis.T)
-    dephased = np.einsum("kab,ck,dk->cdab", diag, basis, basis.conj(), optimize=True)
+    dephased = np.einsum("kab,ck,dk->cdab", diag, basis, basis.conj())
     return float(np.max(np.abs(dephased - c_blocks(rho))))
 
 

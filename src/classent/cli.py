@@ -64,6 +64,8 @@ def _parse_range(text: str) -> tuple[float, float, int]:
         start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ArgumentTypeError(f"--range wants two floats and an integer, got {text!r}") from None
+    if not np.isfinite((start, stop)).all():
+        raise ArgumentTypeError(f"--range needs finite A and B, got {text!r}")
     if steps < 2:
         raise ArgumentTypeError(f"--range needs at least 2 steps, got {steps}")
     if not start < stop:

@@ -201,11 +201,11 @@ def adma_state(a: float = 2.0, b: float = 3.0, c: float = 5.0) -> DensityMatrix:
 
     Diagonal (1, a, b, c, 1/c, 1/b, 1/a, 1) plus |000><111| coherences,
     normalized by n = 2 + a + 1/a + b + 1/b + c + 1/c.  Requires
-    a, b, c > 0 and abc != 1.
+    finite a, b, c > 0 and abc != 1.
     """
     a, b, c = float(a), float(b), float(c)
-    if not (0.0 < a and 0.0 < b and 0.0 < c):
-        raise ValueError(f"parameters a, b, c must be positive, got ({a}, {b}, {c})")
+    if not all(0.0 < v < np.inf for v in (a, b, c)):
+        raise ValueError(f"parameters a, b, c must be positive and finite, got ({a}, {b}, {c})")
     if abs(a * b * c - 1.0) < 1e-12:
         raise ValueError("parameters with abc = 1 give a rank-deficient special case")
     norm = 2.0 + a + 1.0 / a + b + 1.0 / b + c + 1.0 / c
@@ -223,8 +223,8 @@ def ak_state(y: float) -> DensityMatrix:
     entangled in between.
     """
     y = float(y)
-    if not 0.0 < y:
-        raise ValueError(f"parameter y must be positive, got {y}")
+    if not 0.0 < y < np.inf:
+        raise ValueError(f"parameter y must be positive and finite, got {y}")
     x = y + 4.0
     mat = np.diag([x, y, y, y, y, y, y, x])
     for i, v in ((0, 2.0), (1, 2.0), (2, -2.0), (3, 2.0)):
@@ -236,11 +236,11 @@ def ph_state(z: float) -> DensityMatrix:
     """Rank-5 three-qubit state, separable for every bipartition.
 
     A flat coherent block on {|001>, |010>, |100>} plus diagonal weights
-    (2z, 1/z, 1/z, 1/z), normalized by m = 3 + 3/z + 2z.  Requires z > 0.
+    (2z, 1/z, 1/z, 1/z), normalized by m = 3 + 3/z + 2z.  Requires a finite z > 0.
     """
     z = float(z)
-    if not 0.0 < z:
-        raise ValueError(f"parameter z must be positive, got {z}")
+    if not 0.0 < z < np.inf:
+        raise ValueError(f"parameter z must be positive and finite, got {z}")
     m = 3.0 + 3.0 / z + 2.0 * z
     mat = np.diag([2.0 * z, 1.0, 1.0, 1.0 / z, 1.0, 1.0 / z, 1.0 / z, 0.0])
     for i in (1, 2, 4):
@@ -257,8 +257,8 @@ def heisenberg_thermal(temperature: float) -> DensityMatrix:
     the state is PPT for every bipartition yet not fully separable.
     """
     temperature = float(temperature)
-    if not 0.0 < temperature:
-        raise ValueError(f"temperature T must be positive, got {temperature}")
+    if not 0.0 < temperature < np.inf:
+        raise ValueError(f"temperature T must be positive and finite, got {temperature}")
     eye = np.eye(2, dtype=complex)
     ham = np.zeros((8, 8), dtype=complex)
     for i, j in ((0, 1), (1, 2), (2, 0)):

@@ -195,12 +195,17 @@ def check_flower_lock(seed):
     return min(margins), "; ".join(notes), ok
 
 
+def _full_scan(st):
+    """A check body for a state that must pass the scan at every grid direction."""
+    rep = condition1_check(st)
+    detail = f"{rep.status} on {rep.directions_checked} directions, worst {rep.witness:.2e}"
+    return rep.witness + PPT_TOL, detail, rep.passed
+
+
 @_check("tilde-scan", "condition1")
 def check_tilde_scan(seed):
     """Every direction leaves the rank-4 PPT-invariant state separable."""
-    rep = condition1_check(states.tilde_state())
-    detail = f"{rep.status} on {rep.directions_checked} directions, worst {rep.witness:.2e}"
-    return rep.witness + PPT_TOL, detail, rep.passed
+    return _full_scan(states.tilde_state())
 
 
 @_check("ghz-scan-rejects", "condition1")
@@ -218,9 +223,7 @@ def check_ghz_scan_rejects(seed):
 @_check("upb-scan", "condition1")
 def check_upb_scan(seed):
     """The unextendible-product-basis state passes the full scan."""
-    rep = condition1_check(states.upb_state())
-    detail = f"{rep.status} on {rep.directions_checked} directions, worst {rep.witness:.2e}"
-    return rep.witness + PPT_TOL, detail, rep.passed
+    return _full_scan(states.upb_state())
 
 
 @_check("tilde-complete-loss", "zoo")

@@ -220,6 +220,8 @@ class TestSweep:
              "argument --grid: grid resolution must be positive"),
             (("sweep", "--state", "psi", "--grid", "4,0"),
              "argument --grid: grid resolution must be positive"),
+            (("sweep", "--state", "psi", "--range", "0,inf,3"), "--range needs finite A and B"),
+            (("sweep", "--state", "psi", "--range", "nan,1,3"), "--range needs finite A and B"),
         ],
     )
     def test_malformed_flags(self, capsys, flags, message):

@@ -213,10 +213,14 @@ class TestParseStateSpec:
         ("adma:nan,3,5", "a, b, c"), ("adma:2,nan,5", "a, b, c"), ("adma:2,3,nan", "a, b, c"),
         ("ak:nan", "y"), ("ph:nan", "z"), ("heis:nan", "T"), ("hdk:nan", "t"),
         ("psi:nan", "p"), ("rho:nan", "q"),
+        ("adma:inf,2,3", "a, b, c"), ("adma:2,-inf,3", "a, b, c"), ("ak:inf", "y"),
+        ("ak:-inf", "y"), ("ph:inf", "z"), ("ph:-inf", "z"), ("heis:inf", "T"),
+        ("heis:-inf", "T"), ("hdk:inf", "t"), ("psi:-inf", "p"), ("rho:inf", "q"),
     ])
     def test_nan_parameter_is_named(self, spec, name):
         # NaN fails every comparison, so a check written "x <= 0" let it through to
         # the matrix's generic NaN message or, for heis, a divide warning, which the
-        # suite's filterwarnings setting raises in place of the ValueError
+        # suite's filterwarnings setting raises in place of the ValueError; an infinite
+        # parameter reached inf / inf in the normalization the same way
         with pytest.raises(ValueError, match=rf"^(parameters?|weight|temperature) {name} "):
             states.parse_state_spec(spec)
