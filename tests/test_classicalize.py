@@ -354,6 +354,12 @@ def _reference(st, measure, kets):
     return ccl._traces(k), first, first + _values(rest, measure, dims_ab)
 
 
+def _oracle(rho, measure, grid, flat):
+    """The ensemble value along direction ``flat`` through the scalar ``classicalize()``."""
+    outs = classicalize(rho, _direction_at(rho.dims[2], grid, flat))
+    return sum(o.prob * post_value(measure, o.post) for o in outs if not o.negligible)
+
+
 def _entry_rows(k):
     """Contiguous entry rows (16, n) of the stacked 4x4 blocks k, the layout the
     negativity pass builds: row 4a + b holds entry (a, b) of every block."""
@@ -697,6 +703,13 @@ class TestSchmidtKernel:
     def test_catalog_matches_the_eigen_route(self, spec):
         _assert_matches_the_reference(states.parse_state_spec(spec), (48, 16))
 
+    def test_random_states_match_the_eigen_route(self):
+        # the determinant (2x2), the SVD (2x3, 3x2, 4x2) and the rank-two qutrit-C complement
+        rng = np.random.default_rng(11)
+        for i in range(200):
+            dims = ((2, 2, 2), (2, 3, 2), (3, 2, 2), (4, 2, 2), (2, 2, 3))[i % 5]
+            _assert_matches_the_reference(states.random_pure_state(dims, rng), GRID)
+
     @pytest.mark.parametrize("scale", [0.99, 1.01])
     def test_threshold_edge(self, scale):
         # a|00> + b|11> on AB, C = |0>: on x in {0, pi/2, pi} the first
@@ -870,6 +883,20 @@ class TestConjugationMirror:
                 want = _reference(st, measure, direction_kets(2, grid))[2]
                 assert np.abs(vals - want).max() <= 1e-12
 
+    def test_conjugate_state_keeps_delta(self):
+        # complex inputs take the full grid; conj rho is measured along conj v
+        rng = np.random.default_rng(17)
+        for i in range(50):
+            if i % 2:
+                st = states.random_pure_state((2, 2, 2), rng)
+                conj, measures = PureState(st.amp.conj(), st.dims), MeasureKind
+            else:
+                st = states.random_density_matrix((2, 2, 2), rng)
+                conj, measures = DensityMatrix(st.data.conj(), st.dims), [MeasureKind.NEGATIVITY]
+            for measure in measures:
+                got, want = delta(conj, measure, GRID).delta, delta(st, measure, GRID).delta
+                assert abs(got - want) <= 1e-12
+
 
 def _diagonal_c(rng, dims):
     """A seeded complex mixed state dephased on C, so <0|rho|1>_C = 0."""
@@ -985,6 +1012,19 @@ class TestComplementShift:
                 vals = ensemble_values(st, measure, grid).reshape(nx + 1, nt + 1)
                 assert vals[:nx].tobytes() == vals[partner].tobytes()
 
+    def test_values_match_the_complement_pass_and_the_oracle(self):
+        # the complement evaluated, no partner row read: rho_AB - |phi><phi| on the
+        # Schmidt route, rho_AB - K (the reference) on the eigen route
+        kets = direction_kets(2, GRID)
+        for st in _shift_inputs():
+            for measure in MeasureKind:
+                vals = ensemble_values(st, measure, GRID)
+                want = (ccl._schmidt_outcomes(st, measure, kets, complement=True)
+                        if isinstance(st, PureState) else _reference(st, measure, kets))[2]
+                assert np.abs(vals - want).max() <= 1e-14
+                for flat, v in enumerate(vals):
+                    assert abs(v - _oracle(as_tripartite(st), measure, GRID, flat)) <= 1e-12
+
     @pytest.mark.parametrize("grid", [GRID, DEFAULT_GRID], ids=["GRID", "DEFAULT_GRID"])
     def test_the_generic_eigen_pass_keeps_its_complement(self, grid):
         # complex and coherent on C: every value is first + W(rho_AB - K), byte for byte
@@ -992,6 +1032,16 @@ class TestComplementShift:
         for measure in MeasureKind:
             want = _reference(st, measure, direction_kets(2, grid))[2]
             assert ensemble_values(st, measure, grid).tobytes() == want.tobytes()
+
+    def test_an_odd_n_x_matches_the_oracle(self):
+        # x + pi/2 is off the (25, 8) grid but on (50, 8); the real pure state takes
+        # the mirror on the doubled grid too
+        rng = np.random.default_rng(47)
+        for st in (states.random_pure_state((2, 2, 2), rng), _diagonal_c(rng, (2, 2, 2)),
+                   states.flower_state(3), _real_pure(rng, (2, 3, 2))):
+            for measure in MeasureKind:
+                for flat, v in enumerate(ensemble_values(st, measure, (25, 8))):
+                    assert abs(v - _oracle(as_tripartite(st), measure, (25, 8), flat)) <= 1e-12
 
     @pytest.mark.parametrize("spec, grid", [(None, (25, 8)), ("bells:3", (301, 50))],
                              ids=["(25, 8)", "bells:3-(301, 50)"])
@@ -1022,6 +1072,27 @@ class TestComplementShift:
                 assert res.lower_bound == lower_bound(st, MeasureKind.NEGATIVITY, grid)
 
 
+class TestGridRefinement:
+    # (2 n_x, n_t) holds every (n_x, n_t) direction with the same kets, so on every
+    # route its even rows repeat the coarse values and its delta is no larger: the
+    # generic eigen pass (squashed, complex), the two-qubit screen (negativity), the
+    # mirror (real), the collapse (flower:2), Schmidt and qutrit C (2x2x3, ghz3)
+    @pytest.mark.parametrize("grid", [(12, 6), (13, 6)])
+    def test_the_refined_grid_keeps_the_coarse_values(self, grid):
+        nx, nt = grid
+        rng = np.random.default_rng(61)
+        for st in [states.random_density_matrix((2, 2, 2), rng), _real_mixed(rng),
+                   states.random_pure_state((2, 2, 3), rng), states.flower_state(2),
+                   states.parse_state_spec("ghz3")]:
+            for measure in MeasureKind:
+                fine = ensemble_values(st, measure, (2 * nx, nt)).reshape(2 * nx + 1, -1)[::2]
+                assert np.abs(fine.ravel() - ensemble_values(st, measure, grid)).max() <= 1e-14
+                # squashed delta needs a pure state for its global term
+                if isinstance(st, PureState) or measure is MeasureKind.NEGATIVITY:
+                    coarse = delta(st, measure, grid).delta
+                    assert delta(st, measure, (2 * nx, nt)).delta <= coarse + 1e-12
+
+
 def _haar_unitary(rng, d):
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(z)
@@ -1029,6 +1100,26 @@ def _haar_unitary(rng, d):
 
 
 class TestInvariance:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=hst.integers(0, 2**32 - 1), case=hst.sampled_from(
+        [("mixed", "negativity"), ("pure", "negativity"), ("pure", "squashed")]))
+    def test_local_unitaries_and_ab_swap(self, seed, case):
+        # delta and both bounds depend on A and B only through local
+        # invariants, and treat A and B alike
+        kind, measure = case
+        rng = np.random.default_rng(seed)
+        if kind == "pure":
+            rho = states.random_pure_state((2, 2, 2), rng).projector()
+        else:
+            rho = states.random_density_matrix((2, 2, 2), rng)
+        want = delta(rho, measure, (8, 4))
+        for other, _ in _relations(rho, (8, 4), rng)[:2]:  # local unitaries, the A <-> B swap
+            got = delta(other, measure, (8, 4))
+            assert got.delta == pytest.approx(want.delta, abs=1e-9)
+            if measure == "negativity":
+                assert got.lower_bound == pytest.approx(want.lower_bound, abs=1e-9)
+                assert got.upper_bound == pytest.approx(want.upper_bound, abs=1e-9)
+
     @pytest.mark.parametrize("j", [1, 3, 8])
     def test_a_c_phase_on_the_grid_keeps_delta(self, j):
         # 1 (x) diag(1, e^{i pi j/n_t}) sends the search along v(x, t) to v(x, t + pi j/n_t),
@@ -1123,10 +1214,7 @@ class TestOneReference:
             for measure, vals in values.items():
                 best = int(np.argmax(vals >= vals.max() - TIE_TOL))
                 for flat in {best, *rng.integers(n, size=2).tolist()}:
-                    outs = classicalize(rho, _direction_at(dims[2], grid, flat))
-                    want = sum(o.prob * post_value(measure, o.post) for o in outs
-                               if not o.negligible)
-                    assert abs(vals[flat] - want) <= 1e-12
+                    assert abs(vals[flat] - _oracle(rho, measure, grid, flat)) <= 1e-12
                 for image, mapped in _relations(st, grid, rng):
                     got = ensemble_values(image, measure, grid)
                     assert np.abs(got - mapped(vals)).max() <= 1e-12
