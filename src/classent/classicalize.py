@@ -34,6 +34,10 @@ Schmidt coefficients; ``bells:4`` (dAB = 128) runs in about 0.1 s at a 4 MiB pea
 For a qubit C, v(pi - x, pi - t) = -conj v(x, t), so a real rho has at flat
 index N - 1 - m the conjugate of the block at m, with the same PT and marginal
 spectra: a pass evaluates the first ceil(N/2) directions and mirrors the rest.
+A pass is exactly real when the data and every ket are real: always on the qutrit
+grid, and on the qubit grid under the collapse below, whose t = 0 kets are real.  It
+runs in real arithmetic on float64 kets and the real part of the data, so eigvalsh
+and svd take the real LAPACK routines and a slice holds half the bytes.
 If both off-diagonal C blocks are exactly zero (fixed_point_check(rho) == 0), then
 <v|rho|v>_C = cos^2 x rho_00 + |e^{-it}|^2 sin^2 x rho_11 has no t and is even under
 x -> pi - x, as is rho_AB minus it: one half-column serves the grid, copied row by
@@ -42,13 +46,13 @@ row since cos(pi - x) and -cos x may differ in ulps.
 For a qubit C the complement 1 - |v><v| of v(x, t) projects onto v-perp = (-e^{it} sin x,
 cos x) = e^{it} v(x + pi/2, t) = -e^{it} v(x - pi/2, t).  A value p E(sigma) sees the
 projector, not the phase, so the complement value is the first-outcome value of v-perp.
-Pure and collapsed passes take this one rule on the grid (n, n_t), n = n_x for an even n_x
-and 2 n_x for an odd one: v-perp is the direction n/2 rows away in the same t column, so
-the ensemble value at row r is first[r] + first[(r + n/2) mod n], kept at the rows
-r = n k / n_x.  Their kets are the (n_x, n_t) grid's bit for bit, since pi 2k / 2n_x
-doubles both operands of pi k / n_x and doubling is exact.  Other eigen passes keep
-rho_AB - <v|rho|v> until a benchmark pin that takes the raw argmax between exact-tie
-partners follows delta's TIE_TOL rule.
+Pure states, collapsed ones and real ones take this one rule on the grid (n, n_t), n = n_x
+for an even n_x and 2 n_x for an odd one: v-perp is the direction n/2 rows away in the same t
+column, so the ensemble value at row r is first[r] + first[(r + n/2) mod n], kept at the
+rows r = n k / n_x.  Their kets are the (n_x, n_t) grid's bit for bit, since pi 2k / 2n_x
+doubles both operands of pi k / n_x and doubling is exact.  The one qubit-C pass that
+keeps rho_AB - <v|rho|v> is a complex ``DensityMatrix`` coherent on C: a benchmark pin
+takes its raw argmax between partners, which the shift would tie exactly.
 """
 
 from __future__ import annotations
@@ -158,8 +162,9 @@ def direction_kets(dim_c: int, grid=DEFAULT_GRID) -> np.ndarray:
     """Stacked kets for every grid direction, shape (N, dim_c), read-only.
 
     Row order is the flat grid index k * (n_t + 1) + j for angle steps
-    (pi k / n_x, pi j / n_t), both endpoints included.  The kets do not
-    depend on the state, so each (dim_c, n_x, n_t) is built once.
+    (pi k / n_x, pi j / n_t), both endpoints included.  A qubit C's kets are
+    complex, a qutrit C's float64.  The kets do not depend on the state, so
+    each (dim_c, n_x, n_t) is built once.
     """
     return _cached_kets(dim_c, *_check_grid(grid))
 
@@ -178,9 +183,7 @@ def _kets(dim_c: int, a, b) -> np.ndarray:
     if dim_c == 2:
         return np.stack([np.cos(a), np.exp(-1j * b) * np.sin(a)], axis=-1)
     if dim_c == 3:
-        return np.stack(
-            [np.cos(a), np.sin(a) * np.cos(b), np.sin(a) * np.sin(b)], axis=-1
-        ).astype(complex)
+        return np.stack([np.cos(a), np.sin(a) * np.cos(b), np.sin(a) * np.sin(b)], axis=-1)
     raise ValueError(f"measurement grids cover C of dimension 2 or 3, got {dim_c}")
 
 
@@ -237,13 +240,19 @@ def _slices(n: int, side: int) -> list[slice]:
     return [slice(n * i // count, n * (i + 1) // count) for i in range(count)]
 
 
+def _in_pass(a: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """``a`` in the arithmetic of a pass on ``kets``: its real part, contiguous, when the
+    kets are float64, which ``_grid_pass`` hands only an exactly real pass; else ``a``."""
+    return np.ascontiguousarray(a.real) if np.isrealobj(kets) else a
+
+
 def _outcome_blocks(rho: DensityMatrix, kets: np.ndarray) -> np.ndarray:
     """<v_n|_C rho |v_n>_C = p_n sigma_n for the rows v_n of ``kets``, (n, dAB, dAB).
     For qubit A and B the stack is a view of contiguous entry rows (16, n), row 4a + b
     the entry (a, b), which the determinant screen reads; otherwise it is C-contiguous."""
     rows = rho.dims[:2] == (2, 2)
-    k = np.einsum(f"nc,cdab,nd->{'abn' if rows else 'nab'}", kets.conj(), c_blocks(rho), kets,
-                  optimize=True, order="C")
+    k = np.einsum(f"nc,cdab,nd->{'abn' if rows else 'nab'}", kets.conj(),
+                  _in_pass(c_blocks(rho), kets), kets, optimize=True, order="C")
     return np.moveaxis(k, -1, 0) if rows else k
 
 
@@ -254,22 +263,30 @@ def _collapses(state) -> bool:
             and not c_blocks(state)[[0, 1], [1, 0]].any())
 
 
+def _is_real(state) -> bool:
+    """Whether the amplitudes or the matrix of ``state`` have no imaginary part."""
+    return not (state.amp if isinstance(state, PureState) else state.data).imag.any()
+
+
 def _grid_pass(state, grid, evaluate) -> tuple:
     """Flat-grid arrays from ``evaluate(kets)``, a tuple of arrays with one entry per
     ket, called on each ``_slices`` slice and joined in grid order.  A qubit C and
     real data evaluate the first ceil(N/2) kets only, and entry N - 1 - m is
     copied from entry m.  A ``DensityMatrix`` with a qubit C and both off-diagonal C
     blocks exactly zero evaluates the t = 0 column only: its first ceil((n_x + 1)/2)
-    rows, row n_x - k copied from row k, each row n_t + 1 times."""
+    rows, row n_x - k copied from row k, each row n_t + 1 times.  A pass is exactly
+    real when the data and every ket are real: ``evaluate`` then gets float64 kets and
+    reads the real part of the data (``_in_pass``); every other pass gets complex kets."""
     (nx, nt), dims, rep = _check_grid(grid), state.dims, 1
-    data = state.amp if isinstance(state, PureState) else state.data
     if _collapses(state):
         kets, rep = direction_kets(2, (nx, 1))[::2], nt + 1
     else:
         kets = direction_kets(dims[2], grid)
-    n = len(kets)
-    if dims[2] == 2 and (rep > 1 or not data.imag.any()):
+    n, real = len(kets), _is_real(state)
+    if dims[2] == 2 and (rep > 1 or real):
         kets = kets[:(n + 1) // 2]
+    exact = real and not kets.imag.any()  # a qutrit C, or the t = 0 column of real data
+    kets = np.ascontiguousarray(kets.real) if exact else kets.astype(complex, copy=False)
     parts = zip(*(evaluate(kets[s]) for s in _slices(len(kets), dims[0] * dims[1])))
     return tuple(np.concatenate([a, a[:n - len(a)][::-1]]).repeat(rep, 0)
                  for a in map(np.concatenate, parts))
@@ -400,7 +417,7 @@ def _schmidt_outcomes(psi: PureState, measure: MeasureKind, kets: np.ndarray, co
     The complement evaluated here is rho_AB - |phi_n><phi_n|, of rank dC - 1: only a
     qutrit C reaches it, as ``_grid_outcomes`` reads a qubit C's from partner rows."""
     da, db, dc = psi.dims
-    amps = psi.amp.reshape(da * db, dc)
+    amps = _in_pass(psi.amp, kets).reshape(da * db, dc)
     phi = (kets.conj() @ amps.T).reshape(-1, da, db)
     re_im = phi.reshape(len(phi), -1).view(float)
     probs = np.einsum("ni,ni->n", re_im, re_im)
@@ -420,14 +437,15 @@ def _grid_outcomes(state, measure: MeasureKind, grid, complement=True):
     p_n E[sigma_n (x) |0><0|], then, with ``complement``, the ensemble values,
     which add the complement outcome.  A ``PureState`` (tripartite, as its
     caller checks) takes the Schmidt route, a ``DensityMatrix`` the eigen route.
-    With a qubit C the complement value of a pure or collapsed state is the first
+    With a qubit C the complement value of a pure, collapsed or real state is the first
     outcome of v-perp (module docstring): one pass without the complement on the grid
     (n, n_t), n the least even multiple of n_x, keeps the rows r = n k / n_x and adds
-    the partner rows r +- n/2.  A qutrit C and the other eigen passes evaluate
-    rho_AB - <v|rho|v>.
+    the partner rows r +- n/2.  A qutrit C and a complex ``DensityMatrix`` coherent on
+    C evaluate rho_AB - <v|rho|v>.
     """
     nx, nt = grid
-    if complement and state.dims[2] == 2 and (isinstance(state, PureState) or _collapses(state)):
+    if complement and state.dims[2] == 2 and (
+            isinstance(state, PureState) or _collapses(state) or _is_real(state)):
         n = nx * (1 + nx % 2)
         p, first = (a.reshape(n + 1, -1) for a in _grid_outcomes(state, measure, (n, nt), False))
         rows = np.arange(0, n + 1, n // nx)
@@ -444,7 +462,8 @@ def _grid_outcomes(state, measure: MeasureKind, grid, complement=True):
         if not complement:
             return p, first
         # the complement block rho_AB - <v|rho|v> overwrites the first one
-        return p, first, first + _weighted_values(np.subtract(rho_ab, k, out=k), measure, dims_ab)
+        rest = np.subtract(_in_pass(rho_ab, kets), k, out=k)
+        return p, first, first + _weighted_values(rest, measure, dims_ab)
 
     return _grid_pass(rho, grid, evaluate)
 

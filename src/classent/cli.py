@@ -70,6 +70,8 @@ def _parse_range(text: str) -> tuple[float, float, int]:
         raise ArgumentTypeError(f"--range needs at least 2 steps, got {steps}")
     if not start < stop:
         raise ArgumentTypeError(f"--range needs A < B, got {start} >= {stop}")
+    if stop - start == np.inf:
+        raise ArgumentTypeError(f"--range needs a finite B - A, got {text!r}")
     return start, stop, steps
 
 

@@ -92,6 +92,10 @@ class DensityMatrix:
             raise ValueError(
                 f"density matrix shape {mat.shape} does not match dims {dims}"
             )
+        # no entry of a state exceeds 1 in modulus; a larger one overflows the checks below
+        big = float(np.abs(mat.view(float)).max())
+        if big > 2.0:
+            raise ValueError(f"density matrix has an entry part of {big:.3e} > 2")
         herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
         if herm_dev > HERM_TOL:
             raise ValueError(

@@ -75,9 +75,9 @@ def bell_pairs(n: int) -> PureState:
     """
     (n,) = as_ints((n,), "number of pairs")
     if n < 2:
-        raise ValueError(f"need at least 2 pairs so that B is nonempty, got n={n}")
+        raise ValueError(f"number of pairs n must be at least 2 so that B is nonempty, got {n}")
     if n > 4:
-        raise ValueError(f"n={n} exceeds the supported total dimension (256)")
+        raise ValueError(f"number of pairs n = {n} exceeds the supported total dimension (256)")
     dim_a, dim_b = 2**n, 2 ** (n - 1)
     amp = np.zeros(dim_a * dim_b * 2, dtype=complex)
     for x in range(2**n):
@@ -116,9 +116,9 @@ def flower_state(d: int) -> DensityMatrix:
     """
     (d,) = as_ints((d,), "local dimension")
     if d < 2:
-        raise ValueError(f"local dimension must be >= 2, got {d}")
+        raise ValueError(f"local dimension d must be >= 2, got {d}")
     if d * d * 2 > 256:
-        raise ValueError(f"d={d} exceeds the supported total dimension (256)")
+        raise ValueError(f"local dimension d = {d} exceeds the supported total dimension (256)")
     swap = np.zeros((d * d, d * d))
     for i in range(d):
         for j in range(d):
@@ -201,14 +201,16 @@ def adma_state(a: float = 2.0, b: float = 3.0, c: float = 5.0) -> DensityMatrix:
 
     Diagonal (1, a, b, c, 1/c, 1/b, 1/a, 1) plus |000><111| coherences,
     normalized by n = 2 + a + 1/a + b + 1/b + c + 1/c.  Requires
-    finite a, b, c > 0 and abc != 1.
+    finite a, b, c > 0, abc != 1 and a finite n.
     """
     a, b, c = float(a), float(b), float(c)
     if not all(0.0 < v < np.inf for v in (a, b, c)):
         raise ValueError(f"parameters a, b, c must be positive and finite, got ({a}, {b}, {c})")
     if abs(a * b * c - 1.0) < 1e-12:
-        raise ValueError("parameters with abc = 1 give a rank-deficient special case")
+        raise ValueError("parameters a, b, c with abc = 1 give a rank-deficient special case")
     norm = 2.0 + a + 1.0 / a + b + 1.0 / b + c + 1.0 / c
+    if norm == np.inf:
+        raise ValueError(f"parameters a, b, c = ({a}, {b}, {c}) overflow the normalization")
     mat = np.diag([1.0, a, b, c, 1.0 / c, 1.0 / b, 1.0 / a, 1.0])
     mat[0, 7] = mat[7, 0] = 1.0
     return DensityMatrix(mat / norm, (2, 2, 2))
@@ -218,30 +220,34 @@ def ak_state(y: float) -> DensityMatrix:
     """Full-rank three-qubit family on the GHZ-diagonal antidiagonal.
 
     Diagonal (x, y, ..., y, x) with x = y + 4 and antidiagonal entries
-    (2, 2, -2, 2, 2, -2, 2, 2), normalized by 8(1 + y).  PPT for every
-    bipartition when y >= 2; separable once y >= 2 sqrt(2), bound
-    entangled in between.
+    (2, 2, -2, 2, 2, -2, 2, 2), normalized by 8(1 + y).  A state for finite
+    y >= 2, where the blocks [[y, 2], [2, y]] turn PSD, and PPT for every
+    bipartition there; separable once y >= 2 sqrt(2), bound entangled in between.
     """
     y = float(y)
-    if not 0.0 < y < np.inf:
-        raise ValueError(f"parameter y must be positive and finite, got {y}")
+    if not 2.0 <= y < np.inf:
+        raise ValueError(f"parameter y must be at least 2 and finite, got {y}")
     x = y + 4.0
     mat = np.diag([x, y, y, y, y, y, y, x])
     for i, v in ((0, 2.0), (1, 2.0), (2, -2.0), (3, 2.0)):
         mat[i, 7 - i] = mat[7 - i, i] = v
-    return DensityMatrix(mat / (8.0 * (1.0 + y)), (2, 2, 2))
+    # 8 (1 + y) overflows near the float maximum; a division by 8 is exact
+    return DensityMatrix(mat / (1.0 + y) / 8.0, (2, 2, 2))
 
 
 def ph_state(z: float) -> DensityMatrix:
     """Rank-5 three-qubit state, separable for every bipartition.
 
     A flat coherent block on {|001>, |010>, |100>} plus diagonal weights
-    (2z, 1/z, 1/z, 1/z), normalized by m = 3 + 3/z + 2z.  Requires a finite z > 0.
+    (2z, 1/z, 1/z, 1/z), normalized by m = 3 + 3/z + 2z.  Requires a finite z > 0
+    and a finite m.
     """
     z = float(z)
     if not 0.0 < z < np.inf:
         raise ValueError(f"parameter z must be positive and finite, got {z}")
     m = 3.0 + 3.0 / z + 2.0 * z
+    if m == np.inf:
+        raise ValueError(f"parameter z = {z} overflows the normalization 3 + 3/z + 2z")
     mat = np.diag([2.0 * z, 1.0, 1.0, 1.0 / z, 1.0, 1.0 / z, 1.0 / z, 0.0])
     for i in (1, 2, 4):
         for j in (1, 2, 4):
@@ -268,8 +274,10 @@ def heisenberg_thermal(temperature: float) -> DensityMatrix:
             factors[j] = op
             ham = ham + kron(kron(factors[0], factors[1]), factors[2])
     w, v = np.linalg.eigh(ham)
-    # Subtract the ground energy before exponentiating to avoid overflow.
-    boltz = np.exp(-(w - w[0]) / temperature)
+    # Subtract the ground energy before exponentiating to avoid overflow; an
+    # exponent that overflows to -inf at a tiny T is a weight of exactly 0.
+    with np.errstate(over="ignore"):
+        boltz = np.exp(-(w - w[0]) / temperature)
     gibbs = (v * boltz) @ v.conj().T
     return DensityMatrix(gibbs / boltz.sum(), (2, 2, 2))
 

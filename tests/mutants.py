@@ -7,13 +7,15 @@ Each mutant names a file, a snippet that must occur in it exactly once, the snip
 replacement and the test node ids expected to catch it.  The script first runs every
 named test on an unmutated copy.  Then, for each mutant, it copies ``src/``, ``tests/``
 and ``pyproject.toml`` to a temporary directory, applies the mutant there and runs
-``python -m pytest -x -q -p no:cacheprovider --hypothesis-seed=0 <ids>`` with
-``PYTHONPATH=<copy>/src``.  Exit status 1 counts as caught and 0 as survived; any
-other status (a collection error, no test found) is an error, and so is a snippet
-that is missing or repeated.  It prints one line per mutant, with the first failing
-test of a caught one, and exits 1 unless every mutant is caught.  This is mutation
-analysis (DeMillo, Lipton & Sayward, IEEE Computer 11(4), 1978), kept as a gate on
-the test suite: a refactor that drops the only test catching a mutant fails it.
+``python -m pytest -x -q -p no:cacheprovider --hypothesis-seed=0
+--hypothesis-profile=mutants <ids>`` with ``PYTHONPATH=<copy>/src``; that profile
+(``tests/conftest.py``) leaves out hypothesis's explain phase.  Exit status 1 counts
+as caught and 0 as survived; any other status (a collection error, no test found)
+is an error, and so is a snippet that is missing or repeated.  It prints one line per
+mutant, with the first failing test of a caught one, and exits 1 unless every mutant
+is caught.  This is mutation analysis (DeMillo, Lipton & Sayward, IEEE Computer 11(4),
+1978), kept as a gate on the test suite: a refactor that drops the only test catching
+a mutant fails it.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ DEPHASING = "tests/test_certify.py::TestFixedPoint::test_matches_the_kron_dephas
 PAULI_AXIS = ("tests/test_certify.py::TestZeroDiscord::"
               "test_random_basis_with_mixed_marginal_is_found")
 PT_MAP = T + "TestDeterminantScreen::test_pt_map_gathers_the_partial_transpose[dims_ab0]"
+TWINS = T + "TestRealPass::test_real_passes_match_their_complex_twins"
+REAL_KETS = T + "TestRealPass::test_only_exactly_real_passes_get_real_kets"
 
 
 class Mutant(NamedTuple):
@@ -66,14 +70,16 @@ MUTANTS = (
            "_outcome_blocks(rho, basis.T)", "_outcome_blocks(rho, basis)", (DEPHASING,)),
     Mutant("dephased blocks written cdba", CERT, '"kab,ck,dk->cdab"', '"kab,ck,dk->cdba"',
            (DEPHASING,)),
-    # the complement: rho_AB - K on the generic pass, partner rows on pure and collapsed ones
+    # the complement: rho_AB - K on the generic pass, partner rows on pure, collapsed and
+    # real ones
     Mutant("complement without rho_AB", CLS,
-           "np.subtract(rho_ab, k, out=k)", "np.subtract(0 * rho_ab, k, out=k)", (PROPERTY, ROWS)),
+           "np.subtract(_in_pass(rho_ab, kets), k", "np.subtract(0 * _in_pass(rho_ab, kets), k",
+           (PROPERTY, ROWS)),
     Mutant("partner taken mod (n + 1)", CLS,
            "first[(rows + n // 2) % n]", "first[(rows + n // 2) % (n + 1)]",
            (PROPERTY, T + "TestComplementShift::test_partner_rows_agree_bit_for_bit[GRID]")),
     Mutant("shift on the generic pass", CLS,
-           "and (isinstance(state, PureState) or _collapses(state))", "and True",
+           "isinstance(state, PureState) or _collapses(state) or _is_real(state)", "True",
            (T + "TestComplementShift::test_the_generic_eigen_pass_keeps_its_complement[GRID]",)),
     Mutant("rows = np.arange(nx + 1)", CLS,
            "rows = np.arange(0, n + 1, n // nx)", "rows = np.arange(nx + 1)",
@@ -87,14 +93,20 @@ MUTANTS = (
            (T + "TestSchmidtKernel::test_threshold_edge[0.99]",)),
     # the walker: mirror, collapse and slices
     Mutant("mirror on complex data", CLS,
-           "if dims[2] == 2 and (rep > 1 or not data.imag.any()):", "if dims[2] == 2:",
+           "if dims[2] == 2 and (rep > 1 or real):", "if dims[2] == 2:",
            (PROPERTY, HALVED)),
     Mutant("mirror without its reversal", CLS, "a[:n - len(a)][::-1]", "a[:n - len(a)]",
            (HALVED, PROPERTY)),
     Mutant("mirror evaluates one direction too many", CLS,
            "kets = kets[:(n + 1) // 2]", "kets = kets[:(n + 1) // 2 + 1]", (HALVED,)),
-    Mutant("row mirror on real data only", CLS,
-           "(rep > 1 or not data.imag.any())", "(not data.imag.any())", (COLLAPSES,)),
+    Mutant("row mirror on real data only", CLS, "(rep > 1 or real)", "(real)", (COLLAPSES,)),
+    # the realness of a pass: real data and real kets
+    Mutant("real pass on complex kets", CLS,
+           "exact = real and not kets.imag.any()", "exact = real",
+           (TWINS + "[rho:0.5-GRID]", REAL_KETS)),
+    Mutant("real pass on complex data", CLS,
+           "exact = real and not kets.imag.any()", "exact = not kets.imag.any()",
+           (TWINS + "[sym3-GRID]", REAL_KETS)),
     Mutant("collapse tested by a tolerance", CLS,
            "not c_blocks(state)[[0, 1], [1, 0]].any()",
            "np.abs(c_blocks(state)[[0, 1], [1, 0]]).max() <= 1e-12", (COLLAPSES,)),
@@ -162,7 +174,7 @@ def _run(dest: Path, *args: str) -> subprocess.CompletedProcess:
 
 def _pytest(dest: Path, ids) -> subprocess.CompletedProcess:
     return _run(dest, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                "--hypothesis-seed=0", *ids)
+                "--hypothesis-seed=0", "--hypothesis-profile=mutants", *ids)
 
 
 def _first_failure(out: str) -> str:

@@ -323,8 +323,19 @@ class TestBounds:
 
 def _blocks(rho, kets):
     """<v_n|rho|v_n> as a C-contiguous (n, dAB, dAB) stack, built apart from
-    ``_outcome_blocks`` so that it does not share the layout it checks."""
-    return np.einsum("nc,cdab,nd->nab", kets.conj(), c_blocks(rho), kets, optimize=True, order="C")
+    ``_outcome_blocks`` so that it does not share the layout it checks.  Real kets and
+    real rho take real arithmetic, as on an exactly real pass; else the kets are complex."""
+    blocks = c_blocks(rho)
+    if _real_pass(rho, kets):
+        blocks = blocks.real
+    else:
+        kets = kets.astype(complex)
+    return np.einsum("nc,cdab,nd->nab", kets.conj(), blocks, kets, optimize=True, order="C")
+
+
+def _real_pass(rho, kets):
+    """The realness rule of a grid pass: the kets and the data are real."""
+    return np.isrealobj(kets) and not rho.data.imag.any()
 
 
 def _values(k, measure, dims_ab):
@@ -350,7 +361,8 @@ def _reference(st, measure, kets):
     rho = st.projector() if isinstance(st, PureState) else st
     k, dims_ab = _blocks(rho, kets), rho.dims[:2]
     first = _values(k, measure, dims_ab)
-    rest = _partial_trace_array(rho.data, rho.dims, (0, 1)) - k
+    rest = _partial_trace_array(rho.data.real if _real_pass(rho, kets) else rho.data, rho.dims,
+                                (0, 1)) - k
     return ccl._traces(k), first, first + _values(rest, measure, dims_ab)
 
 
@@ -471,7 +483,7 @@ class TestDeterminantScreen:
     def test_bit_identical_to_the_eigen_route(self):
         # the sign of -0.0 counts: both routes give the same bytes on the
         # first-outcome and complement blocks, screened (two-qubit AB, qubit
-        # or qutrit C) or not (every other AB)
+        # or qutrit C) or not (every other AB), in the arithmetic of the pass
         rng = np.random.default_rng(7)
         sts = [states.parse_state_spec(spec) for spec in _CATALOG]
         sts += [states.random_density_matrix((2, 2, 2), rng) for _ in range(30)]
@@ -479,9 +491,10 @@ class TestDeterminantScreen:
         screened = 0
         for st in sts:
             rho = st if isinstance(st, DensityMatrix) else st.projector()
-            dims_ab = rho.dims[:2]
-            first = _outcome_blocks(rho, direction_kets(rho.dims[2], (48, 16)))
-            rest = _partial_trace_array(rho.data, rho.dims, (0, 1)) - first
+            dims_ab, kets = rho.dims[:2], direction_kets(rho.dims[2], (48, 16))
+            kets = kets if _real_pass(rho, kets) else kets.astype(complex)
+            first = _outcome_blocks(rho, kets)
+            rest = ccl._in_pass(_partial_trace_array(rho.data, rho.dims, (0, 1)), kets) - first
             for k in (first, rest):
                 got = _weighted_values(k, MeasureKind.NEGATIVITY, dims_ab)
                 assert got.tobytes() == _values(k, MeasureKind.NEGATIVITY, dims_ab).tobytes()
@@ -506,7 +519,7 @@ class TestDeterminantScreen:
         partner = (np.arange(nx + 1) + nx // 2) % nx
         for st in sts:
             probs, first, values = _grid_pass(st, grid, lambda kets: _reference(st, neg, kets))
-            if ccl._collapses(st):
+            if ccl._collapses(st) or not st.data.imag.any():
                 values = first + first.reshape(nx + 1, -1)[partner].ravel()
             want = [a.tobytes() for a in (probs, first, values)]
             got = _grid_outcomes(st, neg, grid, complement=False)
@@ -744,9 +757,9 @@ class TestSchmidtKernel:
         assert abs(res[MeasureKind.SQUASHED].delta - 1.0) <= 1e-9
 
 
-def _real_mixed(rng):
-    """(rho + conj rho) / 2 of a random 2x2x2 mixed state: real, so mirrored."""
-    rho = states.random_density_matrix((2, 2, 2), rng)
+def _real_mixed(rng, dims=(2, 2, 2)):
+    """(rho + conj rho) / 2 of a random mixed state: real, so mirrored for a qubit C."""
+    rho = states.random_density_matrix(dims, rng)
     return DensityMatrix((rho.data + rho.data.conj()) / 2, rho.dims)
 
 
@@ -1070,6 +1083,64 @@ class TestComplementShift:
             if rows is None:
                 res = delta(st, MeasureKind.NEGATIVITY, grid)
                 assert res.lower_bound == lower_bound(st, MeasureKind.NEGATIVITY, grid)
+
+
+def _a_phased(st, theta=0.7):
+    """``st`` under the local unitary diag(1, e^{i theta}, e^{2i theta}, ...) (x) 1 (x) 1 on A,
+    which moves no value but makes a real state complex."""
+    da, side = st.dims[0], int(np.prod(st.dims[1:]))
+    u = np.kron(np.diag(np.exp(1j * theta * np.arange(da))), np.eye(side))
+    if isinstance(st, PureState):
+        return PureState(u @ st.amp, st.dims)
+    return DensityMatrix(u @ st.data @ u.conj().T, st.dims)
+
+
+# real states on every real pass: qutrit C (Schmidt and eigen route), the collapse, and the
+# partner rows of real mixed qubit-C states, whose twins take the complement rho_AB - K
+_TWINS = {spec: functools.partial(states.parse_state_spec, spec)
+          for spec in ("sym3", "ghz3", "flower:2", "flower:3", "flower:4", "rho:0.5", "heis:1")}
+_TWINS.update({"real-mixed-2x2x3": lambda: _real_mixed(np.random.default_rng(67), (2, 2, 3)),
+               "real-pure-qutrit-c": lambda: _real_pure(np.random.default_rng(71), (2, 2, 3))})
+
+
+class TestRealPass:
+    # a pass is exactly real when the data and every ket are real: a qutrit C, or the t = 0
+    # column of a collapse; it reads the real part of the data in real arithmetic
+    def test_only_exactly_real_passes_get_real_kets(self):
+        rng = np.random.default_rng(73)
+        cases = [(states.parse_state_spec("sym3"), True), (_real_mixed(rng, (2, 2, 3)), True),
+                 (states.flower_state(2), True), (_diagonal_c(rng, (2, 2, 2)), False),
+                 (states.random_pure_state((2, 2, 3), rng), False),
+                 (states.random_density_matrix((2, 2, 3), rng), False),
+                 (states.tilde_state(), False), (_real_pure(rng, (2, 2, 2)), False)]
+        for st, real in cases:
+            dtypes = set()
+
+            def evaluate(kets):
+                dtypes.add(kets.dtype)
+                return (np.zeros(len(kets)),)
+
+            _grid_pass(st, GRID, evaluate)
+            assert dtypes == {np.dtype(float) if real else np.dtype(complex)}
+
+    @pytest.mark.parametrize("grid", [GRID, (25, 8)], ids=["GRID", "odd-n_x"])
+    @pytest.mark.parametrize("case", list(_TWINS))
+    def test_real_passes_match_their_complex_twins(self, case, grid):
+        st = _TWINS[case]()
+        twin = _a_phased(st)
+        assert ccl._is_real(st) and not ccl._is_real(twin)
+        for measure in MeasureKind:
+            got, want = ensemble_values(st, measure, grid), ensemble_values(twin, measure, grid)
+            assert np.abs(got - want).max() <= 1e-14
+            if isinstance(st, PureState) or measure is MeasureKind.NEGATIVITY:
+                best = delta(st, measure, grid).best_direction.index
+                assert best == delta(twin, measure, grid).best_direction.index
+        got, want = lower_bound(st, grid=grid), lower_bound(twin, grid=grid)
+        assert got == want or abs(got - want) <= 1e-14
+        if st.dims[:2] == (2, 2):
+            rep, twin_rep = condition1_check(st, grid), condition1_check(twin, grid)
+            assert (rep.status, rep.directions_checked, rep.skipped) == (
+                twin_rep.status, twin_rep.directions_checked, twin_rep.skipped)
 
 
 class TestGridRefinement:

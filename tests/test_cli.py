@@ -1,13 +1,18 @@
 """CLI surface: subcommands, formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, note, settings
+from hypothesis import strategies as hst
 
 from classent import states
 from classent.cli import main
-from classent.matcore import matrix_to_csv
+from classent.matcore import DensityMatrix, matrix_to_csv
 from classent.verify import run_suite
 
 
@@ -320,3 +325,59 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "zoo")
         assert code == 0
         assert "4/4" in out
+
+
+def _quiet_main(*argv):
+    """``main(argv)`` with its output captured: the exit code and stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+# every float, NaN, the infinities and subnormals included; sizes that allocate stay small
+_ANY_FLOAT = hst.floats(allow_nan=True, allow_infinity=True)
+_REAL_FAMILIES = [name for name, (_, params, _) in states._FAMILIES.items()
+                  if params and name not in states._INT_PARAMS]
+_SIZES = {"bells": hst.integers(-2, 6), "flower": hst.integers(-2, 13)}
+
+
+class TestInputs:
+    @settings(max_examples=300, deadline=None)
+    @given(data=hst.data())
+    def test_every_input_builds_or_names_its_parameter(self, data):
+        # a family parameter, a --range or --grid string or a 2x2 matrix either gives a
+        # valid state (or flag) with no warning, which the suite raises as an error, or a
+        # ValueError or exit 2 whose message names the parameter
+        kind = data.draw(hst.sampled_from(["family", "range", "grid", "matrix"]))
+        if kind == "family":
+            name = data.draw(hst.sampled_from(_REAL_FAMILIES + list(_SIZES)))
+            params = states._FAMILIES[name][1]
+            values = [data.draw(_SIZES.get(name, _ANY_FLOAT)) for _ in params]
+            spec = f"{name}:" + ",".join(map(repr, values))
+            note(spec)
+            code, err = _quiet_main("measure", "--state", spec, "--format", "json")
+            assert code == 0 or (code == 2 and re.search(rf"\b{', '.join(params)}\b", err)), err
+        elif kind == "range":
+            family = data.draw(hst.sampled_from(sorted(states.one_parameter_families())))
+            text = ",".join([repr(data.draw(_ANY_FLOAT)), repr(data.draw(_ANY_FLOAT)),
+                             str(data.draw(hst.integers(-2, 4)))])
+            note(text)
+            code, err = _quiet_main("sweep", "--state", family, "--range", text, "--grid", "2,1")
+            param = states._FAMILIES[family][1][0]
+            assert code == 0 or (code == 2 and re.search(rf"--range|\b{param}\b", err)), err
+        elif kind == "grid":
+            size = hst.one_of(hst.integers(-2, 6).map(str), _ANY_FLOAT.map(repr))
+            text = f"{data.draw(size)},{data.draw(size)}"
+            note(text)
+            code, err = _quiet_main("delta", "--state", "ghz", "--grid", text)
+            assert code == 0 or (code == 2 and "--grid" in err), err
+        else:
+            p, re_, im, skew = (data.draw(_ANY_FLOAT) for _ in range(4))
+            mat = np.array([[p, complex(re_, im)], [complex(re_ + skew, -im), 1 - p]])
+            note(repr(mat))
+            try:
+                DensityMatrix(mat, (2,))
+            except ValueError as exc:
+                assert re.match(r"density matrix|not Hermitian|trace deviates|not positive",
+                                str(exc))

@@ -163,6 +163,15 @@ def test_random_states_seed_deterministic():
     np.testing.assert_array_equal(a.amp, b.amp)
 
 
+@pytest.mark.parametrize("spec", ["heis:1e-320", "heis:5e-324", "ak:1e308", "ak:2", "ph:2e-308",
+                                  "ph:8e307", "adma:1e308,1,1"])
+def test_extreme_finite_parameters_build_states(spec):
+    # exp(-E/T) overflowing to a zero weight, 8 (1 + y) and normalizations near the float
+    # limits: built without a warning (the suite raises warnings), with unit trace
+    st = states.parse_state_spec(spec)
+    assert abs(np.trace(st.data).real - 1.0) <= 1e-12
+
+
 class TestParseStateSpec:
     def test_plain_names(self):
         assert states.parse_state_spec("ghz").dims == (2, 2, 2)
@@ -216,6 +225,9 @@ class TestParseStateSpec:
         ("adma:inf,2,3", "a, b, c"), ("adma:2,-inf,3", "a, b, c"), ("ak:inf", "y"),
         ("ak:-inf", "y"), ("ph:inf", "z"), ("ph:-inf", "z"), ("heis:inf", "T"),
         ("heis:-inf", "T"), ("hdk:inf", "t"), ("psi:-inf", "p"), ("rho:inf", "q"),
+        # finite, but 2z, 1/z or 1/b overflows the normalization, or y < 2 is not a state
+        ("ph:1e308", "z"), ("ph:5e-324", "z"), ("adma:1,5e-324,3", "a, b, c"), ("ak:1", "y"),
+        ("adma:8,1,0.125", "a, b, c"),
     ])
     def test_nan_parameter_is_named(self, spec, name):
         # NaN fails every comparison, so a check written "x <= 0" let it through to
