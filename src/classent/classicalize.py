@@ -29,7 +29,8 @@ provably positive is PPT and skips the eigensolve.  Every pass reads K^G through
 index map _pt_map and copies only the blocks that reach the eigensolve.
 A ``PureState`` keeps its vector: each outcome is rank one, so a slice holds only the
 dA dB amplitudes <v_n|_C psi of its directions and reads both measures from their
-Schmidt coefficients; ``bells:4`` (dAB = 128) runs in about 0.1 s at a 4 MiB peak.
+Schmidt coefficients; ``bells:4`` (dAB = 128), which collapses (below), runs in about
+0.03 s.
 
 For a qubit C, v(pi - x, pi - t) = -conj v(x, t), so a real rho has at flat
 index N - 1 - m the conjugate of the block at m, with the same PT and marginal
@@ -41,7 +42,15 @@ and svd take the real LAPACK routines and a slice holds half the bytes.
 If both off-diagonal C blocks are exactly zero (fixed_point_check(rho) == 0), then
 <v|rho|v>_C = cos^2 x rho_00 + |e^{-it}|^2 sin^2 x rho_11 has no t and is even under
 x -> pi - x, as is rho_AB minus it: one half-column serves the grid, copied row by
-row since cos(pi - x) and -cos x may differ in ulps.
+row since cos(pi - x) and -cos x may differ in ulps.  A pure outcome phi = <v|_C psi =
+cos x psi_0 + e^{it} sin x psi_1, with psi_c = <c|_C psi as dA x dB matrices, is worth a
+function of its Schmidt coefficients under either measure: of the spectrum of
+phi^T conj(phi) = <v|rho_BC|v>_C, which phi phi^dag = <v|rho_AC|v>_C shares.  If the
+block <0|rho_BC|1>_C = psi_0^T conj(psi_1) is exactly zero, so is its adjoint and the
+first is cos^2 x psi_0^T conj(psi_0) + sin^2 x psi_1^T conj(psi_1); if <0|rho_AC|1>_C =
+psi_0 psi_1^dag is, the second is the same with phi phi^dag.  Either way the values have
+no t and are even under x -> pi - x, and the same half-column serves: ``bells:n`` on the
+B side (rho_BC = 1 / 2^n), GHZ on both.
 
 For a qubit C the complement 1 - |v><v| of v(x, t) projects onto v-perp = (-e^{it} sin x,
 cos x) = e^{it} v(x + pi/2, t) = -e^{it} v(x - pi/2, t).  A value p E(sigma) sees the
@@ -257,10 +266,18 @@ def _outcome_blocks(rho: DensityMatrix, kets: np.ndarray) -> np.ndarray:
 
 
 def _collapses(state) -> bool:
-    """Whether a grid pass collapses the t-axis: a ``DensityMatrix`` with a qubit C
-    and both off-diagonal C blocks exactly zero (fixed_point_check(state) == 0)."""
-    return (isinstance(state, DensityMatrix) and state.dims[2] == 2
-            and not c_blocks(state)[[0, 1], [1, 0]].any())
+    """Whether a grid pass collapses the t-axis, for a qubit C only: a ``DensityMatrix``
+    with both off-diagonal C blocks exactly zero (fixed_point_check(state) == 0), or a
+    ``PureState`` with <0|rho_BC|1>_C = psi_0^T conj(psi_1) or <0|rho_AC|1>_C =
+    psi_0 psi_1^dag exactly zero, psi_c = <c|_C psi as dA x dB matrices (module
+    docstring).  The test is exact, as a zero block is what the proof needs."""
+    if state.dims[2] != 2:
+        return False
+    if isinstance(state, PureState):
+        zero, one = state.amp.reshape(state.dims).transpose(2, 0, 1)
+        bar = one.conj()
+        return not (zero.T @ bar).any() or not (zero @ bar.T).any()
+    return not c_blocks(state)[[0, 1], [1, 0]].any()
 
 
 def _is_real(state) -> bool:
@@ -273,8 +290,11 @@ def _grid_pass(state, grid, evaluate) -> tuple:
     ket, called on each ``_slices`` slice and joined in grid order.  A qubit C and
     real data evaluate the first ceil(N/2) kets only, and entry N - 1 - m is
     copied from entry m.  A ``DensityMatrix`` with a qubit C and both off-diagonal C
-    blocks exactly zero evaluates the t = 0 column only: its first ceil((n_x + 1)/2)
-    rows, row n_x - k copied from row k, each row n_t + 1 times.  A pass is exactly
+    blocks exactly zero, or a ``PureState`` with a qubit C and <0|rho_BC|1>_C or
+    <0|rho_AC|1>_C exactly zero (``_collapses``), evaluates the t = 0 column only: its
+    first ceil((n_x + 1)/2) rows, row n_x - k copied from row k, each row n_t + 1 times.
+    Only the Schmidt route hands this walker a ``PureState``; the eigen route and the
+    conditional-PPT scan hand it a ``DensityMatrix``.  A pass is exactly
     real when the data and every ket are real: ``evaluate`` then gets float64 kets and
     reads the real part of the data (``_in_pass``); every other pass gets complex kets."""
     (nx, nt), dims, rep = _check_grid(grid), state.dims, 1
@@ -438,7 +458,8 @@ def _grid_outcomes(state, measure: MeasureKind, grid, complement=True):
     which add the complement outcome.  A ``PureState`` (tripartite, as its
     caller checks) takes the Schmidt route, a ``DensityMatrix`` the eigen route.
     With a qubit C the complement value of a pure, collapsed or real state is the first
-    outcome of v-perp (module docstring): one pass without the complement on the grid
+    outcome of v-perp (module docstring), on a pass that ``_collapses`` may cut to half
+    the t = 0 column, pure states included: one pass without the complement on the grid
     (n, n_t), n the least even multiple of n_x, keeps the rows r = n k / n_x and adds
     the partner rows r +- n/2.  A qutrit C and a complex ``DensityMatrix`` coherent on
     C evaluate rho_AB - <v|rho|v>.

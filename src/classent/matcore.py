@@ -132,6 +132,10 @@ class PureState:
             raise ValueError(
                 f"amplitude length {vec.size} does not match dims {dims}"
             )
+        # no amplitude of a state exceeds 1 in modulus; a larger one overflows the norm below
+        big = float(np.abs(vec.view(float)).max())
+        if big > 2.0:
+            raise ValueError(f"amplitudes have an entry part of {big:.3e} > 2")
         norm_dev = abs(float(np.linalg.norm(vec)) - 1.0)
         if norm_dev > 1e-12:
             raise ValueError(f"norm deviates from 1 by {norm_dev:.3e} > 1e-12")

@@ -261,6 +261,10 @@ def heisenberg_thermal(temperature: float) -> DensityMatrix:
     H = sum_i (X_i X_{i+1} + Y_i Y_{i+1} + Z_i Z_{i+1}) over the pairs
     (1,2), (2,3), (3,1); rho = exp(-H/T) / Z.  Around T in [4.33, 5.46]
     the state is PPT for every bipartition yet not fully separable.
+    At T <~ 1e-14 the weights resolve a rounding split: eigh puts two of the
+    four ground levels 8.9e-16 above the others, so ``heis:1e-14`` weighs
+    them 0.239 and 0.261 where the T -> 0 limit gives 0.25 each, and
+    ``heis:1e-320`` has rank 2, not 4.
     """
     temperature = float(temperature)
     if not 0.0 < temperature < np.inf:

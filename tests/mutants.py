@@ -110,6 +110,14 @@ MUTANTS = (
     Mutant("collapse tested by a tolerance", CLS,
            "not c_blocks(state)[[0, 1], [1, 0]].any()",
            "np.abs(c_blocks(state)[[0, 1], [1, 0]]).max() <= 1e-12", (COLLAPSES,)),
+    Mutant("pure collapse on the B side only", CLS, " or not (zero @ bar.T).any()", "",
+           (COLLAPSES,)),
+    Mutant("pure collapse on the A side only", CLS, "not (zero.T @ bar).any() or ", "",
+           (COLLAPSES,)),
+    Mutant("pure collapse without the conjugate", CLS, "bar = one.conj()", "bar = one",
+           (COLLAPSES,)),
+    Mutant("pure collapse tested by a tolerance", CLS, "not (zero.T @ bar).any()",
+           "np.abs(zero.T @ bar).max() <= 1e-12", (COLLAPSES,)),
     Mutant("collapse builds every t column", CLS,
            "direction_kets(2, (nx, 1))[::2]", "direction_kets(2, grid)[::nt + 1]",
            (T + "TestTAxisCollapse::test_a_collapsed_pass_builds_the_t0_column_only",)),

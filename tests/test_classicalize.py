@@ -918,6 +918,33 @@ def _diagonal_c(rng, dims):
     return DensityMatrix(rho.data * np.kron(np.ones((side, side)), np.eye(2)), dims)
 
 
+def _split_pure(rng, dims, side, real):
+    """A seeded pure state whose levels of A (side 0) or of B (side 1) each carry one C
+    level, all of them used when that party has at least dC levels: psi_c = <c|_C psi
+    live on disjoint levels of that party, so <c|rho_BC|c'>_C (side 0) or
+    <c|rho_AC|c'>_C (side 1) is exactly zero for c != c'."""
+    g = rng.standard_normal(dims) + (0 if real else 1j) * rng.standard_normal(dims)
+    levels = rng.permutation(np.arange(dims[side]) % dims[2])
+    amp = g * np.expand_dims(levels[:, None] == np.arange(dims[2]), 1 - side)
+    return PureState(amp.ravel() / np.linalg.norm(amp), dims)
+
+
+def _ab_swapped(st):
+    """The pure state ``st`` with A and B exchanged."""
+    return PureState(st.amp.reshape(st.dims).transpose(1, 0, 2).ravel(),
+                     (st.dims[1], st.dims[0], st.dims[2]))
+
+
+def _pure_collapse_inputs():
+    """bells:2..3 (B side) and their A <-> B swaps (A side), ghz (both), then seeded states
+    collapsed on the B side (split on A) or the A side (split on B) alone, real and complex."""
+    rng = np.random.default_rng(19)
+    bells = [states.parse_state_spec(spec) for spec in ("bells:2", "bells:3")]
+    return (bells + [_ab_swapped(st) for st in bells] + [states.parse_state_spec("ghz")]
+            + [_split_pure(rng, dims, side, real) for dims in ((2, 2, 2), (3, 2, 2), (2, 3, 2))
+               for side in (0, 1) for real in (True, False)])
+
+
 def _collapse_inputs():
     """flower:2..4, then two complex C-diagonal states each of 2x2x2 and 3x2x2."""
     rng = np.random.default_rng(23)
@@ -927,7 +954,9 @@ def _collapse_inputs():
 
 class TestTAxisCollapse:
     # <0|rho|1>_C = 0 leaves <v|rho|v>_C = cos^2 x rho_00 + sin^2 x rho_11: it has
-    # no t and is even under x -> pi - x, so a pass evaluates half the t = 0 column
+    # no t and is even under x -> pi - x, so a pass evaluates half the t = 0 column.
+    # A pure state's values follow the spectrum of <v|rho_BC|v>_C or of <v|rho_AC|v>_C,
+    # which do the same when <0|rho_BC|1>_C or <0|rho_AC|1>_C is zero
     @pytest.mark.parametrize("grid", [GRID, (25, 8)], ids=["GRID", "odd-n_x"])
     def test_values_repeat_and_match_the_oracle(self, grid):
         nx, nt = grid
@@ -940,18 +969,46 @@ class TestTAxisCollapse:
                 want = _reference(st, measure, direction_kets(2, grid))[2]
                 assert np.abs(vals - want).max() <= 1e-12
 
+    @pytest.mark.parametrize("grid", [GRID, (25, 8)], ids=["GRID", "odd-n_x"])
+    def test_pure_values_repeat_and_match_the_projector(self, grid):
+        # under both measures the first outcomes, ensemble values, delta's best index and
+        # lower_bound meet the eigen route on the projector to 1e-12
+        nx, nt = grid
+        for st in _pure_collapse_inputs():
+            assert ccl._collapses(st)
+            for vals in _assert_matches_the_reference(st, grid).values():
+                rows = vals.reshape(nx + 1, nt + 1)
+                assert rows.tobytes() == np.repeat(rows[:, :1], nt + 1, axis=1).tobytes()
+                assert rows.tobytes() == rows[::-1].tobytes()
+
     def test_only_an_exactly_zero_block_collapses(self):
         # 13 = ceil(25 / 2) rows of GRID; a 1e-14 coherence keeps the mirror half
-        # (113) of a real state and the whole grid (225) of a complex one, and a
-        # pure state keeps the Schmidt route's choice.  rho is Hermitian only to
-        # HERM_TOL, so a coherence in one off-diagonal C block alone, either one,
-        # blocks the collapse too: it happens iff fixed_point_check(rho) == 0
+        # (113) of a real state and the whole grid (225) of a complex one.  rho is
+        # Hermitian only to HERM_TOL, so a coherence in one off-diagonal C block alone,
+        # either one, blocks the collapse too: it happens iff fixed_point_check(rho) == 0.
+        # A pure state collapses when either side's block is zero: bells:3 on the B side
+        # only, its A <-> B swap on the A side only, and (|+i>|0> |0> + |-i>|b> |1>) / sqrt 2,
+        # b = (0.6, 0.8), on the B side only, as <-i|+i> = 0 but (1, -i) . (1, i) = 2
         rng = np.random.default_rng(29)
         flower, mixed = states.flower_state(2), _diagonal_c(rng, (2, 2, 2))
         lower = 1e-14 * np.kron(np.eye(4) / 4, [[0, 0], [1, 0]])
-        amp = np.kron(states.random_pure_state((2, 2), rng).amp, [1, 0])
+        ab = states.random_pure_state((2, 2), rng).amp
+        bells = states.parse_state_spec("bells:3")
+        plus_i = (functools.reduce(np.kron, ([0.5, 0.5j], [1, 0], [1, 0]))
+                  + functools.reduce(np.kron, ([0.5, -0.5j], [0.6, 0.8], [0, 1])))
+        nudged = np.kron(ab, [1, 0]) + 1e-14 * np.eye(8)[1]
         cases = [(flower, 13), (mixed, 13), (_diagonal_c(rng, (3, 2, 2)), 13),
-                 (PureState(amp, (2, 2, 2)), 225)]
+                 (PureState(np.kron(ab, [1, 0]), (2, 2, 2)), 13),
+                 (PureState(np.kron(ab, [0.6, 0.8]), (2, 2, 2)), 225),
+                 (PureState(nudged / np.linalg.norm(nudged), (2, 2, 2)), 225),
+                 (bells, 13), (_ab_swapped(bells), 13),
+                 (PureState(plus_i, (2, 2, 2)), 13)]
+        for st, side in [(bells, 0), (_ab_swapped(bells), 1)] + [
+                (_split_pure(rng, (2, 2, 2), side, real), side)
+                for side in (0, 1) for real in (True, False)]:
+            zero, one = st.amp.reshape(st.dims).transpose(2, 0, 1)
+            blocks = zero.T @ one.conj(), zero @ one.conj().T  # rho_BC's, then rho_AC's
+            assert not blocks[side].any() and blocks[1 - side].any()
         for nudge in (lower + lower.T, lower, lower.T):
             cases += [(DensityMatrix(flower.data + nudge, flower.dims), 113),
                       (DensityMatrix(mixed.data + nudge, mixed.dims), 225)]
@@ -1112,7 +1169,8 @@ class TestRealPass:
                  (states.flower_state(2), True), (_diagonal_c(rng, (2, 2, 2)), False),
                  (states.random_pure_state((2, 2, 3), rng), False),
                  (states.random_density_matrix((2, 2, 3), rng), False),
-                 (states.tilde_state(), False), (_real_pure(rng, (2, 2, 2)), False)]
+                 (states.tilde_state(), False), (_real_pure(rng, (2, 2, 2)), False),
+                 (states.parse_state_spec("bells:3"), True)]
         for st, real in cases:
             dtypes = set()
 
@@ -1212,8 +1270,10 @@ class TestInvariance:
 
 def _draw_state(rng):
     """A seeded state of dims from _DIMS: pure (a ``PureState``) or mixed of rank 1, 2 or
-    full, real or complex, and with both off-diagonal C blocks zero or not (a pure state
-    then has C in one level).  Returns the state and a description of the draw."""
+    full, real or complex, and with both off-diagonal C blocks zero or not.  A pure state
+    drawn C-diagonal has C in one level, or is split on A or on B (``_split_pure``), which
+    zeroes the off-diagonal C blocks of rho_BC or of rho_AC.  Returns the state and a
+    description of the draw."""
     dims = _DIMS[rng.integers(len(_DIMS))]
     d, dc = int(np.prod(dims)), dims[2]
     kind, real, c_diagonal = rng.integers(4), rng.random() < 0.5, rng.random() < 0.5
@@ -1222,6 +1282,9 @@ def _draw_state(rng):
     about = (f"{dims}, {('pure', 'rank 1', 'rank 2', 'full rank')[kind]}, real {real}, "
              f"c-diagonal {c_diagonal}")
     if kind == 0:
+        split = int(rng.integers(3)) if c_diagonal else 2
+        if split < 2:
+            return _split_pure(rng, dims, split, real), about + f", split on {'AB'[split]}"
         amp = g[:, 0] * (np.arange(d) % dc == rng.integers(dc)) if c_diagonal else g[:, 0]
         return PureState(amp / np.linalg.norm(amp), dims), about
     m = g @ g.conj().T

@@ -12,7 +12,7 @@ from hypothesis import strategies as hst
 
 from classent import states
 from classent.cli import main
-from classent.matcore import DensityMatrix, matrix_to_csv
+from classent.matcore import DensityMatrix, PureState, matrix_to_csv
 from classent.verify import run_suite
 
 
@@ -346,10 +346,10 @@ class TestInputs:
     @settings(max_examples=300, deadline=None)
     @given(data=hst.data())
     def test_every_input_builds_or_names_its_parameter(self, data):
-        # a family parameter, a --range or --grid string or a 2x2 matrix either gives a
-        # valid state (or flag) with no warning, which the suite raises as an error, or a
-        # ValueError or exit 2 whose message names the parameter
-        kind = data.draw(hst.sampled_from(["family", "range", "grid", "matrix"]))
+        # a family parameter, a --range or --grid string, a 2x2 matrix or a qubit's
+        # amplitudes either gives a valid state (or flag) with no warning, which the suite
+        # raises as an error, or a ValueError or exit 2 whose message names the parameter
+        kind = data.draw(hst.sampled_from(["family", "range", "grid", "matrix", "amplitudes"]))
         if kind == "family":
             name = data.draw(hst.sampled_from(_REAL_FAMILIES + list(_SIZES)))
             params = states._FAMILIES[name][1]
@@ -372,6 +372,13 @@ class TestInputs:
             note(text)
             code, err = _quiet_main("delta", "--state", "ghz", "--grid", text)
             assert code == 0 or (code == 2 and "--grid" in err), err
+        elif kind == "amplitudes":
+            amp = [complex(data.draw(_ANY_FLOAT), data.draw(_ANY_FLOAT)) for _ in range(2)]
+            note(repr(amp))
+            try:
+                PureState(amp, (2,))
+            except ValueError as exc:
+                assert re.match(r"amplitudes have|norm deviates", str(exc))
         else:
             p, re_, im, skew = (data.draw(_ANY_FLOAT) for _ in range(4))
             mat = np.array([[p, complex(re_, im)], [complex(re_ + skew, -im), 1 - p]])
