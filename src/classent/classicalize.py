@@ -27,10 +27,11 @@ qubit A and B a pass builds its blocks as contiguous entry rows (16, n) behind a
 (n, 4, 4) view, and under negativity a block whose partial-transpose determinant is
 provably positive is PPT and skips the eigensolve.  Every pass reads K^G through the
 index map _pt_map and copies only the blocks that reach the eigensolve.
-A ``PureState`` keeps its vector: each outcome is rank one, so a slice holds only the
-dA dB amplitudes <v_n|_C psi of its directions and reads both measures from their
-Schmidt coefficients; ``bells:4`` (dAB = 128), which collapses (below), runs in about
-0.03 s.
+A ``PureState`` keeps its vector through every entry point: each outcome is rank one, so
+a slice holds only the dA dB amplitudes <v_n|_C psi of its directions and reads both
+measures from their Schmidt coefficients, as do the global value, rho_AB = A A^dag and
+the best ensemble; ``delta`` on ``bells:4`` (dAB = 128), which collapses (below), takes
+about 6 ms.
 
 For a qubit C, v(pi - x, pi - t) = -conj v(x, t), so a real rho has at flat
 index N - 1 - m the conjugate of the block at m, with the same PT and marginal
@@ -72,12 +73,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import EIG_CUTOFF, HERM_TOL, PSD_TOL, DensityMatrix, PureState, as_tripartite
-from .matcore import _partial_trace_array, _partial_transpose_array, as_ints, partial_trace
+from .matcore import _partial_trace_array, _partial_transpose_array, as_ints, check_tripartite
+from .matcore import spectrum_entropy, tripartite_cuts
 from .measures import (
     MeasureKind,
     NEG_EIG_THRESHOLD,
     as_measure,
     post_value,
+    pure_negativity_schmidt,
+    schmidt_coefficients,
+    schmidt_pair_sum,
     squashed_pure_tripartite,
     tripartite_negativity,
 )
@@ -214,25 +219,34 @@ def classicalize(state, direction: MeasurementDirection) -> list[MeasurementOutc
 
     Outcome 0 projects onto |v><v|, outcome 1 onto its complement.
     Each non-negligible branch carries a validated normalized post state
-    on A (x) B.
+    on A (x) B.  A ``PureState`` becomes its projector here: this is the
+    scalar oracle, independent of the vector route ``delta`` takes.
     """
-    rho = as_tripartite(state)
-    da, db, dc = rho.dims
+    return _ensemble(as_tripartite(state), direction)
+
+
+def _ensemble(state, direction: MeasurementDirection) -> list[MeasurementOutcome]:
+    """``classicalize`` of a gated state; a ``PureState`` from its vector: the first block
+    |phi><phi|, phi = <v|_C psi, and the complement rho_AB minus it."""
+    dc = state.dims[2]
     if direction.dim != dc:
-        raise ValueError(
-            f"direction is for a {direction.dim}-level C, state has dim C = {dc}"
-        )
-    blocks = c_blocks(rho)
+        raise ValueError(f"direction is for a {direction.dim}-level C, state has dim C = {dc}")
     v = direction.ket()
-    k0 = np.einsum("c,cdab,d->ab", v.conj(), blocks, v)
-    k1 = np.einsum("ccab->ab", blocks) - k0
+    if isinstance(state, PureState):
+        phi = state.amp.reshape(-1, dc) @ v.conj()
+        k0 = np.outer(phi, phi.conj())
+        k1 = _rho_ab(state) - k0
+    else:
+        blocks = c_blocks(state)
+        k0 = np.einsum("c,cdab,d->ab", v.conj(), blocks, v)
+        k1 = np.einsum("ccab->ab", blocks) - k0
     outcomes = []
     for label, k in ((0, k0), (1, k1)):
         p = float(np.trace(k).real)
         if p < ZERO_PROB:
             outcomes.append(MeasurementOutcome(label, max(p, 0.0), None))
         else:
-            outcomes.append(MeasurementOutcome(label, p, DensityMatrix(k / p, (da, db))))
+            outcomes.append(MeasurementOutcome(label, p, DensityMatrix(k / p, state.dims[:2])))
     return outcomes
 
 
@@ -420,7 +434,7 @@ def _schmidt_values(phi: np.ndarray, measure: MeasureKind, probs: np.ndarray) ->
             s = np.linalg.svd(phi, compute_uv=False)
             i, j = np.triu_indices(s.shape[1], 1)
             pairs = s[:, i] * s[:, j]
-        return 2.0 * np.where(pairs > NEG_EIG_THRESHOLD, pairs, 0.0).sum(axis=1)
+        return 2.0 * schmidt_pair_sum(pairs)
     if qubits:
         # the small root as det^2 / big root, free of cancellation
         big = (probs + np.sqrt(np.maximum(probs**2 - 4 * det**2, 0.0))) / 2
@@ -474,11 +488,10 @@ def _grid_outcomes(state, measure: MeasureKind, grid, complement=True):
         return p[rows].ravel(), first.ravel(), (first + partner).ravel()
     if isinstance(state, PureState):
         return _grid_pass(state, grid, lambda v: _schmidt_outcomes(state, measure, v, complement))
-    rho = as_tripartite(state)
-    dims_ab, rho_ab = rho.dims[:2], _partial_trace_array(rho.data, rho.dims, (0, 1))
+    dims_ab, rho_ab = state.dims[:2], _rho_ab(state)
 
     def evaluate(kets):
-        k = _outcome_blocks(rho, kets)
+        k = _outcome_blocks(state, kets)
         p, first = _traces(k), _weighted_values(k, measure, dims_ab)
         if not complement:
             return p, first
@@ -486,7 +499,7 @@ def _grid_outcomes(state, measure: MeasureKind, grid, complement=True):
         rest = np.subtract(_in_pass(rho_ab, kets), k, out=k)
         return p, first, first + _weighted_values(rest, measure, dims_ab)
 
-    return _grid_pass(rho, grid, evaluate)
+    return _grid_pass(state, grid, evaluate)
 
 
 def _floor(gval: float, probs: np.ndarray, first: np.ndarray) -> float:
@@ -499,13 +512,46 @@ def _floor(gval: float, probs: np.ndarray, first: np.ndarray) -> float:
     return gval - float((first[mask] / probs[mask]).max())
 
 
+def _tripartite(state):
+    """``state`` through the tripartite gate: a ``PureState`` as it is, else ``as_tripartite``.
+    The vector routes skip the projector and its checks, which cannot fail on a ``PureState``:
+    it has finite amplitudes, each part at most 2 in modulus, of norm 1 within 1e-12, so
+    outer(psi, conj psi) is exactly Hermitian, PSD of rank one, of unit trace within 2e-12
+    and pure by type.  Post states and rho_AB keep their checks."""
+    if isinstance(state, PureState):
+        check_tripartite(state.dims)
+        return state
+    return as_tripartite(state)
+
+
+def _rho_ab(state) -> np.ndarray:
+    """The marginal rho_AB as a raw matrix; of a ``PureState``, A A^dag with A the
+    amplitudes as a dAB x dC matrix."""
+    if isinstance(state, PureState):
+        a = state.amp.reshape(-1, state.dims[2])
+        return a @ a.conj().T
+    return _partial_trace_array(state.data, state.dims, (0, 1))
+
+
+def _ab_value(state, measure: MeasureKind) -> float:
+    """E[rho_AB (x) |0><0|] of the validated marginal: what discarding the label keeps."""
+    return post_value(measure, DensityMatrix(_rho_ab(state), state.dims[:2]))
+
+
 def global_value(state, measure) -> float:
-    """Measure value of the intact tripartite state."""
+    """Measure value of the intact tripartite state.  A ``PureState`` reads it from the
+    Schmidt coefficients s of its three single-party cuts: negativity sums their pair
+    sums, squashed halves the sum of the entropies of s^2, the marginal spectra."""
     measure = as_measure(measure)
-    rho = as_tripartite(state)
+    state = _tripartite(state)
+    if isinstance(state, PureState):
+        cuts = tripartite_cuts()
+        if measure is MeasureKind.NEGATIVITY:
+            return sum(pure_negativity_schmidt(state, cut) for cut in cuts)
+        return sum(spectrum_entropy(schmidt_coefficients(state, cut) ** 2) for cut in cuts) / 2.0
     if measure is MeasureKind.NEGATIVITY:
-        return tripartite_negativity(rho)
-    return squashed_pure_tripartite(rho)
+        return tripartite_negativity(state)
+    return squashed_pure_tripartite(state)
 
 
 def ensemble_values(state, measure=MeasureKind.NEGATIVITY, grid=DEFAULT_GRID) -> np.ndarray:
@@ -515,8 +561,7 @@ def ensemble_values(state, measure=MeasureKind.NEGATIVITY, grid=DEFAULT_GRID) ->
     order; ``delta`` subtracts its maximum from the global value.
     """
     measure = as_measure(measure)
-    as_tripartite(state)  # the gate only: a pure state keeps its vector below
-    return _grid_outcomes(state, measure, _check_grid(grid))[2]
+    return _grid_outcomes(_tripartite(state), measure, _check_grid(grid))[2]
 
 
 def delta(state, measure=MeasureKind.NEGATIVITY, grid=DEFAULT_GRID) -> DeltaResult:
@@ -526,7 +571,8 @@ def delta(state, measure=MeasureKind.NEGATIVITY, grid=DEFAULT_GRID) -> DeltaResu
     ----------
     state : DensityMatrix or PureState
         Tripartite state; C must be a qubit or qutrit.  The squashed
-        measure additionally needs a pure state for the global term.
+        measure additionally needs a pure state for the global term.  A
+        ``PureState`` is never made a projector: every value below reads its vector.
     measure : MeasureKind or str
     grid : (n_x, n_t)
         Angular resolution; both endpoints are included, so the search
@@ -540,12 +586,12 @@ def delta(state, measure=MeasureKind.NEGATIVITY, grid=DEFAULT_GRID) -> DeltaResu
         On plateaus the lowest flat grid index wins.
     """
     measure = as_measure(measure)
-    rho = as_tripartite(state)
+    state = _tripartite(state)
     grid = _check_grid(grid)
-    gval = global_value(rho, measure)
+    gval = global_value(state, measure)
     probs, first, values = _grid_outcomes(state, measure, grid)
     best = int(np.argmax(values >= values.max() - TIE_TOL))
-    best_dir = _direction_at(rho.dims[2], grid, best)
+    best_dir = _direction_at(state.dims[2], grid, best)
     ensemble_value = float(values[best])
     bounded = measure is MeasureKind.NEGATIVITY
     return DeltaResult(
@@ -554,9 +600,9 @@ def delta(state, measure=MeasureKind.NEGATIVITY, grid=DEFAULT_GRID) -> DeltaResu
         global_value=gval,
         ensemble_value=ensemble_value,
         lower_bound=_floor(gval, probs, first) if bounded else None,
-        upper_bound=gval - post_value(measure, partial_trace(rho, (0, 1))) if bounded else None,
+        upper_bound=gval - _ab_value(state, measure) if bounded else None,
         best_direction=best_dir,
-        ensemble=tuple(classicalize(rho, best_dir)),
+        ensemble=tuple(_ensemble(state, best_dir)),
         grid=grid,
     )
 
@@ -583,9 +629,9 @@ def lower_bound(state, measure=MeasureKind.NEGATIVITY, grid=DEFAULT_GRID) -> flo
     grid's: a complex measurement can lose less.
     """
     measure = _bounded(measure)
-    rho = as_tripartite(state)
+    state = _tripartite(state)
     grid = _check_grid(grid)
-    gval = global_value(rho, measure)
+    gval = global_value(state, measure)
     probs, first = _grid_outcomes(state, measure, grid, complement=False)
     return _floor(gval, probs, first)
 
@@ -596,8 +642,9 @@ def upper_bound(state, measure=MeasureKind.NEGATIVITY) -> float:
     Encoding every outcome into the same flag |0> keeps at most
     E[rho_AB (x) |0><0|], so delta <= E[rho] - that value.  This needs
     a convex measure, so the ceiling is proved for negativity only;
-    other measures raise ValueError.
+    other measures raise ValueError.  rho_AB of a ``PureState`` is A A^dag,
+    A its amplitudes as a dAB x dC matrix, validated as a ``DensityMatrix``.
     """
     measure = _bounded(measure)
-    rho = as_tripartite(state)
-    return global_value(rho, measure) - post_value(measure, partial_trace(rho, (0, 1)))
+    state = _tripartite(state)
+    return global_value(state, measure) - _ab_value(state, measure)

@@ -11,6 +11,7 @@ All entropies are in bits (log base 2).
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -182,9 +183,7 @@ class Bipartition:
             )
 
     def block_dims(self, dims) -> tuple[int, int]:
-        d_left = int(np.prod([dims[i] for i in self.left]))
-        d_right = int(np.prod([dims[i] for i in self.right]))
-        return d_left, d_right
+        return math.prod(dims[i] for i in self.left), math.prod(dims[i] for i in self.right)
 
 
 def as_density(state) -> DensityMatrix:
@@ -196,11 +195,16 @@ def as_density(state) -> DensityMatrix:
     raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
 
 
+def check_tripartite(dims) -> None:
+    """Raise ValueError unless ``dims`` names three subsystems: the one tripartite gate."""
+    if len(dims) != 3:
+        raise ValueError(f"expected a tripartite state, got dims {dims}")
+
+
 def as_tripartite(state) -> DensityMatrix:
     """Coerce like :func:`as_density`, rejecting anything but three subsystems."""
     rho = as_density(state)
-    if len(rho.dims) != 3:
-        raise ValueError(f"expected a tripartite state, got dims {rho.dims}")
+    check_tripartite(rho.dims)
     return rho
 
 
@@ -295,7 +299,11 @@ def von_neumann_entropy(rho) -> float:
     pure-state entropy is exactly zero despite rounding in the
     eigensolver.
     """
-    w = np.linalg.eigvalsh(_as_array(rho))
+    return spectrum_entropy(np.linalg.eigvalsh(_as_array(rho)))
+
+
+def spectrum_entropy(w: np.ndarray) -> float:
+    """Entropy in bits of the spectrum ``w``, dropping entries at or below ``EIG_CUTOFF``."""
     w = w[w > EIG_CUTOFF]
     if w.size == 0:
         return 0.0

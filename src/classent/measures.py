@@ -86,22 +86,31 @@ def negativity(state, part: Bipartition) -> float:
     return float(-w.sum()) if w.size else 0.0
 
 
+def schmidt_coefficients(psi: PureState, part: Bipartition) -> np.ndarray:
+    """Schmidt coefficients across ``part``: the amplitudes' singular values, descending."""
+    part.check_covers(len(psi.dims))
+    perm = list(part.left) + list(part.right)
+    block = psi.amp.reshape(psi.dims).transpose(perm).reshape(part.block_dims(psi.dims)[0], -1)
+    return np.linalg.svd(block, compute_uv=False)
+
+
+def schmidt_pair_sum(pairs: np.ndarray) -> np.ndarray:
+    """Sum over the last axis of the Schmidt products s_i s_j (i < j) above NEG_EIG_THRESHOLD:
+    the partial-transpose eigenvalues -s_i s_j of a pure state that ``negativity`` counts."""
+    return np.where(pairs > NEG_EIG_THRESHOLD, pairs, 0.0).sum(axis=-1)
+
+
 def pure_negativity_schmidt(psi: PureState, part: Bipartition) -> float:
     """Negativity of a pure state from its Schmidt coefficients.
 
-    For Schmidt coefficients lambda_i across the cut, the negativity is
-    sum_{i<j} lambda_i lambda_j, an independent route to the same number
-    as the eigenvalue-based :func:`negativity`.
+    For Schmidt coefficients lambda_i across the cut, the negativity sums the
+    products lambda_i lambda_j (i < j) above the noise threshold, an independent
+    route to the same number as the eigenvalue-based :func:`negativity`.
     """
     if not isinstance(psi, PureState):
         raise TypeError("pure_negativity_schmidt needs a PureState")
-    part.check_covers(len(psi.dims))
-    tensor = psi.amp.reshape(psi.dims)
-    perm = list(part.left) + list(part.right)
-    block = tensor.transpose(perm).reshape(part.block_dims(psi.dims)[0], -1)
-    coeffs = np.linalg.svd(block, compute_uv=False)
-    total = float(coeffs.sum())
-    return (total * total - float(np.sum(coeffs**2))) / 2.0
+    s = schmidt_coefficients(psi, part)
+    return float(schmidt_pair_sum(np.concatenate([s[i] * s[i + 1:] for i in range(len(s))])))
 
 
 def tripartite_negativity(state) -> float:

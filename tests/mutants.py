@@ -45,6 +45,7 @@ PAULI_AXIS = ("tests/test_certify.py::TestZeroDiscord::"
               "test_random_basis_with_mixed_marginal_is_found")
 PT_MAP = T + "TestDeterminantScreen::test_pt_map_gathers_the_partial_transpose[dims_ab0]"
 TWINS = T + "TestRealPass::test_real_passes_match_their_complex_twins"
+VECTOR = T + "TestVectorPath::test_matches_the_projector"
 REAL_KETS = T + "TestRealPass::test_only_exactly_real_passes_get_real_kets"
 
 
@@ -88,9 +89,18 @@ MUTANTS = (
     Mutant("qutrit-C pure complement without the conjugate", CLS,
            "ket.conj().transpose(0, 2, 1)", "ket.transpose(0, 2, 1)",
            (PROPERTY,)),
-    Mutant("Schmidt pairs without the threshold", CLS,
-           "np.where(pairs > NEG_EIG_THRESHOLD, pairs, 0.0).sum(axis=1)", "pairs.sum(axis=1)",
-           (T + "TestSchmidtKernel::test_threshold_edge[0.99]",)),
+    Mutant("Schmidt pairs without the threshold", "src/classent/measures.py",
+           "np.where(pairs > NEG_EIG_THRESHOLD, pairs, 0.0).sum(axis=-1)", "pairs.sum(axis=-1)",
+           (T + "TestSchmidtKernel::test_threshold_edge[0.99]",
+            "tests/test_measures.py::test_schmidt_route_keeps_the_threshold[0.99]")),
+    # the vector path of a PureState: its global value and rho_AB
+    Mutant("vector global value over two cuts", CLS,
+           "cuts = tripartite_cuts()", "cuts = tripartite_cuts()[:2]", (VECTOR + "[ghz]",)),
+    Mutant("vector entropies of s for s^2", CLS,
+           "schmidt_coefficients(state, cut) ** 2", "schmidt_coefficients(state, cut)",
+           (VECTOR + "[ghz]",)),
+    Mutant("pure rho_AB without the conjugate", CLS,
+           "return a @ a.conj().T", "return a @ a.T", (VECTOR + "[random:0]",)),
     # the walker: mirror, collapse and slices
     Mutant("mirror on complex data", CLS,
            "if dims[2] == 2 and (rep > 1 or real):", "if dims[2] == 2:",

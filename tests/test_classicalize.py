@@ -757,6 +757,63 @@ class TestSchmidtKernel:
         assert abs(res[MeasureKind.SQUASHED].delta - 1.0) <= 1e-9
 
 
+# pure catalog states and 20 seeded complex ones, five of each shape
+VECTOR_CASES = ["ghz", "w", "psi:0.4", "bells:2", "bells:3", "bells:4", "ghz3", "sym3"] + [
+    f"random:{i}" for i in range(20)]
+
+
+def _vector_case(case):
+    if case.startswith("random:"):
+        i = int(case.partition(":")[2])
+        dims = ((2, 2, 2), (2, 2, 3), (3, 3, 3), (4, 2, 2))[i % 4]
+        return states.random_pure_state(dims, np.random.default_rng(500 + i))
+    return states.parse_state_spec(case)
+
+
+class TestVectorPath:
+    """A ``PureState`` keeps its vector through every entry point; its projector takes the
+    eigen route and the projector-based global value, an independent reference."""
+
+    @pytest.mark.parametrize("case", VECTOR_CASES)
+    def test_matches_the_projector(self, case):
+        st = _vector_case(case)
+        rho = st.projector()
+        for measure in MeasureKind:
+            assert abs(global_value(st, measure) - global_value(rho, measure)) <= 1e-12
+            got, want = delta(st, measure, GRID), delta(rho, measure, GRID)
+            assert got.best_direction == want.best_direction
+            assert (got.measure, got.grid) == (want.measure, want.grid)
+            for field in ("delta", "global_value", "ensemble_value", "lower_bound",
+                          "upper_bound"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert a == b if b is None else abs(a - b) <= 1e-12, field
+            for mine, theirs in zip(got.ensemble, want.ensemble, strict=True):
+                assert mine.label == theirs.label
+                assert abs(mine.prob - theirs.prob) <= 1e-12
+                assert (mine.post is None) == (theirs.post is None)
+                if mine.post is not None:
+                    assert np.abs(mine.post.data - theirs.post.data).max() <= 1e-12
+        assert abs(upper_bound(st) - upper_bound(rho)) <= 1e-12
+        assert abs(lower_bound(st, grid=GRID) - lower_bound(rho, grid=GRID)) <= 1e-12
+
+    def test_no_projector_is_built(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a PureState was made a projector")
+
+        st = states.parse_state_spec("bells:4")
+        bipartite = PureState(np.eye(4)[0], (2, 2))
+        monkeypatch.setattr(PureState, "projector", refuse)
+        calls = [functools.partial(f, measure=m) for f in (global_value, delta, ensemble_values)
+                 for m in MeasureKind] + [lower_bound, upper_bound]
+        for call in calls:
+            call(st)
+            with pytest.raises(ValueError, match="expected a tripartite state"):
+                call(bipartite)
+        res = delta(st)
+        assert abs(res.delta - 4.5) <= 1e-9
+        assert abs(lower_bound(st) - 4.5) <= 1e-9 and abs(upper_bound(st) - 4.5) <= 1e-9
+
+
 def _real_mixed(rng, dims=(2, 2, 2)):
     """(rho + conj rho) / 2 of a random mixed state: real, so mirrored for a qubit C."""
     rho = states.random_density_matrix(dims, rng)

@@ -14,6 +14,7 @@ from classent.matcore import (
     von_neumann_entropy,
 )
 from classent.measures import (
+    NEG_EIG_THRESHOLD,
     MeasureKind,
     as_measure,
     negativity,
@@ -109,6 +110,19 @@ def test_schmidt_route_on_uneven_dims():
             assert pure_negativity_schmidt(psi, cut) == pytest.approx(
                 negativity(psi, cut), abs=1e-10
             )
+
+
+@pytest.mark.parametrize("scale", [0.99, 1.01])
+def test_schmidt_route_keeps_the_threshold(scale):
+    # a|000> + b|110>: across BC|A the one Schmidt product ab lies just below or above
+    # NEG_EIG_THRESHOLD, and the Schmidt route keeps it exactly when the eigen route does
+    a = scale * NEG_EIG_THRESHOLD
+    amp = np.zeros(8, complex)
+    amp[0], amp[6] = a, np.sqrt(1 - a * a)
+    psi, cut = PureState(amp, (2, 2, 2)), Bipartition((1, 2), (0,))
+    got, want = pure_negativity_schmidt(psi, cut), negativity(psi, cut)
+    assert (got > 0) == (want > 0) == (scale > 1)
+    assert got == pytest.approx(want, abs=1e-15)
 
 
 def test_tripartite_negativity_ghz():
